@@ -63,6 +63,7 @@ def load_pool_csv(path) -> tmodel.CandidatePool:
     if not reader or [c.strip() for c in reader[0]] != ["worker_id", "p"]:
         raise ValueError(f"{path}: expected header 'worker_id,p'")
     ids: list[str] = []
+    seen: set[str] = set()
     probs: list[float] = []
     for i, row in enumerate(reader[1:], start=2):
         if len(row) != 2:
@@ -74,8 +75,9 @@ def load_pool_csv(path) -> tmodel.CandidatePool:
             raise ValueError(f"{path}: row {i}: non-numeric probability {text!r}") from None
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{path}: row {i}: probability {p} outside [0, 1]")
-        if worker_id in ids:
+        if worker_id in seen:
             raise ValueError(f"{path}: row {i}: duplicate worker id {worker_id!r}")
+        seen.add(worker_id)
         ids.append(worker_id)
         probs.append(p)
     if not ids:

@@ -233,11 +233,15 @@ def em_fit(
     return TopicModel(pi=pi, mu=mu, vocab=vocab, log_likelihood_trace=tuple(trace))
 
 
+def _posteriors(counts: np.ndarray, model: TopicModel) -> np.ndarray:
+    """Posterior topic distribution of each row of a (workers, vocabulary) count matrix."""
+    log_joint = counts @ np.log(model.mu).T + np.log(model.pi)
+    return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
+
+
 def topic_posterior(experience: Experience, model: TopicModel) -> np.ndarray:
     """Posterior topic distribution of one worker's experience; unknown words dropped."""
-    counts = _counts_matrix([experience], model.vocab)[0]
-    log_joint = counts @ np.log(model.mu).T + np.log(model.pi)
-    return np.exp(log_joint - logsumexp(log_joint))
+    return _posteriors(_counts_matrix([experience], model.vocab), model)[0]
 
 
 def kl_divergence(
@@ -264,17 +268,22 @@ def experience_similarity_matrix(
     """Pairwise worker similarity as negated symmetrized topic KL distance.
 
     The raw KL distance is asymmetric; averaging both directions yields the
-    symmetric matrix the S-Model requires. Diagonal is zero.
+    symmetric matrix the S-Model requires. Diagonal is zero. All pairs come
+    from one (workers, topics) posterior matrix: with smoothed rows p,
+    KL(p_i || p_j) = sum_t p_i log p_i - (p @ log(p).T)[i, j], the same value
+    kl_divergence gives for the pair.
     """
     if len(experiences) < 2:
         raise ValueError("need at least two workers")
-    posteriors = [topic_posterior(e, model) for e in experiences]
-    n = len(posteriors)
-    div = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                div[i, j] = kl_divergence(posteriors[i], posteriors[j])
+    post = _posteriors(_counts_matrix(experiences, model.vocab), model)
+    # kl_divergence's checks, written so that NaN rows fail them too
+    if not (np.all(post >= 0.0) and np.all(np.abs(post.sum(axis=1) - 1.0) <= 1e-6)):
+        raise ValueError("topic posteriors must be distributions summing to 1 within 1e-6")
+    smooth = post + SMOOTHING
+    smooth /= smooth.sum(axis=1, keepdims=True)
+    logs = np.log(smooth)
+    div = (smooth * logs).sum(axis=1)[:, None] - smooth @ logs.T
+    np.fill_diagonal(div, 0.0)
     return -(div + div.T) / 2.0
 
 

@@ -21,17 +21,22 @@ from .errors import EnumerationLimitError, TimeBudgetError
 ENUMERATION_LIMIT = 10_000_000
 
 _CHUNK = 1 << 18
+# finite entries near the float limit can still overflow a crowd's pair sum
+_OVERFLOW_MESSAGE = "similarity entries too large: every crowd's diversity overflows"
 _CACHE_BYTES = 64 << 20
+# least recently used first; the arrays together stay within _CACHE_BYTES
 _combo_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
 def check_similarity_matrix(sim, tol: float = 1e-9) -> np.ndarray:
-    """Validate an n x n similarity matrix: square, symmetric within tol."""
+    """Validate an n x n similarity matrix: square, finite, symmetric within tol."""
     arr = np.asarray(sim, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("similarity matrix must be square")
     if arr.shape[0] < 1:
         raise ValueError("similarity matrix must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("similarity matrix has non-finite entries")
     if not np.allclose(arr, arr.T, atol=tol, rtol=0.0):
         raise ValueError(f"similarity matrix is not symmetric within {tol}")
     return arr
@@ -77,21 +82,26 @@ def sum_objective(members: Iterable[int], sim) -> float:
 def _index_combo_blocks(n: int, k: int) -> Iterator[np.ndarray]:
     """Yield (m, k) index arrays covering all combinations in lexicographic order.
 
-    Small enumerations are materialized once and cached (single slot) because
-    benchmark loops re-enumerate the same (n, k) for every trial.
+    Small enumerations are materialized once and cached, because benchmark
+    loops re-enumerate the same few (n, k) for every trial, often alternating
+    between them. The cache holds several entries within _CACHE_BYTES in
+    total and evicts the least recently used.
     """
     key = (n, k)
-    cached = _combo_cache.get(key)
+    cached = _combo_cache.pop(key, None)
     if cached is None:
         total = math.comb(n, k)
-        if total * k * 2 <= _CACHE_BYTES:
+        size = total * k * 2
+        if size <= _CACHE_BYTES:
+            # evict before building, so old and new never exceed the budget together
+            held = sum(a.nbytes for a in _combo_cache.values())
+            while held + size > _CACHE_BYTES:
+                held -= _combo_cache.pop(next(iter(_combo_cache))).nbytes
             cached = np.fromiter(
                 itertools.chain.from_iterable(itertools.combinations(range(n), k)),
                 dtype=np.int16,
                 count=total * k,
             ).reshape(total, k)
-            _combo_cache.clear()
-            _combo_cache[key] = cached
         else:
             source = itertools.combinations(range(n), k)
             while True:
@@ -99,6 +109,7 @@ def _index_combo_blocks(n: int, k: int) -> Iterator[np.ndarray]:
                 if not block:
                     return
                 yield np.asarray(block, dtype=np.int16)
+    _combo_cache[key] = cached
     for start in range(0, len(cached), _CHUNK):
         yield cached[start : start + _CHUNK]
 
@@ -134,7 +145,8 @@ def exact_select(sim, k: int, time_budget_s: float | None = None) -> tuple[int, 
             elapsed = time.perf_counter() - started
             if elapsed > time_budget_s:
                 raise TimeBudgetError(time_budget_s, elapsed)
-    assert best is not None
+    if best is None:
+        raise ValueError(_OVERFLOW_MESSAGE)
     return best
 
 
@@ -157,7 +169,9 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
     rows, cols = np.triu_indices(n, 1)
     best_div = -math.inf
     best_members: np.ndarray | None = None
-    chunk = max(1, (4 << 20) // max(n, 1))  # bound the (seeds, n) work arrays
+    # (seeds, n) work arrays of about 512 KB keep every step's passes in cache;
+    # 32 MB arrays made n = 300 three to four times slower on a 2 MB-L2 core
+    chunk = max(1, (1 << 16) // n)
     for start in range(0, rows.size, chunk):
         s0 = rows[start : start + chunk]
         s1 = cols[start : start + chunk]
@@ -167,23 +181,24 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
         # maximizing Div(crowd + w) is minimizing this margin
         marginal = matrix[s0] + matrix[s1]
         pair_sum = matrix[s0, s1].astype(float)
-        taken = np.zeros((count, n), dtype=bool)
-        taken[idx, s0] = True
-        taken[idx, s1] = True
+        # a member's margin is +inf so argmin never picks it again; adding
+        # finite rows keeps it +inf, which is why the matrix must be finite
+        marginal[idx, s0] = np.inf
+        marginal[idx, s1] = np.inf
         members = np.empty((count, k), dtype=np.int64)
         members[:, 0] = s0
         members[:, 1] = s1
         for step in range(2, k):
-            masked = np.where(taken, np.inf, marginal)
-            w = masked.argmin(axis=1)
+            w = marginal.argmin(axis=1)
             pair_sum += marginal[idx, w]
             members[:, step] = w
-            taken[idx, w] = True
             marginal += matrix[w]
+            marginal[idx, w] = np.inf
         div = -pair_sum / k
         top = int(np.argmax(div))
         if div[top] > best_div:
             best_div = float(div[top])
             best_members = members[top]
-    assert best_members is not None
+    if best_members is None:
+        raise ValueError(_OVERFLOW_MESSAGE)
     return tuple(sorted(int(i) for i in best_members))

@@ -99,6 +99,17 @@ class TestSelectS:
             assert code == 0
             assert len(json.loads(out)["subset"]) == 2
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_matrix_exit_2(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        write_matrix(path, ["a", "b", "c"], [[0.0, bad, 0.9], [bad, 0.0, 0.1], [0.9, 0.1, 0.0]])
+        code, out, err = run(
+            capsys, "select", "s", "--matrix", str(path), "-k", "2", "--method", "greedy"
+        )
+        assert code == 2
+        assert "similarity matrix has non-finite entries" in err
+        assert out == ""
+
     def test_zero_k_exit_2(self, capsys, matrix_file):
         code, _, err = run(
             capsys, "select", "s", "--matrix", str(matrix_file), "-k", "0", "--method", "exact"
@@ -179,6 +190,18 @@ class TestLoaders:
         path.write_text("worker_id,p\nw1,0.5\nw1,0.6\n")
         with pytest.raises(ValueError, match="duplicate"):
             cli.load_pool_csv(path)
+
+    def test_pool_duplicate_late_in_large_pool(self, capsys, tmp_path):
+        path = tmp_path / "pool.csv"
+        rows = [f"w{i},0.5" for i in range(20_000)] + ["w123,0.25"]
+        path.write_text("worker_id,p\n" + "\n".join(rows) + "\n")
+        code, out, err = run(
+            capsys, "select", "t", "--pool", str(path), "-k", "2",
+            "--theta1", "1", "--theta0", "0", "--method", "random",
+        )
+        assert code == 2
+        assert "row 20002: duplicate worker id 'w123'" in err
+        assert out == ""
 
     def test_pool_header_required(self, tmp_path):
         path = tmp_path / "pool.csv"

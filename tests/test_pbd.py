@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -333,11 +333,15 @@ class TestErrorBounds:
         assert deviation <= pbd.poisson_error_bound(probs) + 1e-12
 
     @given(prob_lists)
+    @example(probs=[1.1125369292536007e-308] * 2)  # scipy's binom.pmf overflows here
     @settings(max_examples=60, deadline=None)
     def test_binomial_bound_dominates_half_l1(self, probs):
         n = len(probs)
         mass = pbd.pmf_bruteforce(probs)
         p_bar = float(np.mean(probs))
-        approx = stats.binom.pmf(np.arange(n + 1), n, p_bar)
+        # closed form, which stays finite for subnormal p_bar
+        approx = np.array(
+            [math.comb(n, j) * p_bar**j * (1.0 - p_bar) ** (n - j) for j in range(n + 1)]
+        )
         half_l1 = 0.5 * float(np.abs(mass - approx).sum())
         assert half_l1 <= pbd.binomial_error_bound(probs) + 1e-12

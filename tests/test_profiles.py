@@ -228,9 +228,50 @@ class TestExperienceSimilarityMatrix:
         docs = random_corpus(rng, n_docs=4)
         model = profiles.em_fit(docs, n_topics=2, seed=1)
         sim = profiles.experience_similarity_matrix(docs, model)
-        assert np.allclose(sim, sim.T)
-        assert np.allclose(np.diag(sim), 0.0)
+        assert np.array_equal(sim, sim.T)
+        assert np.all(np.diag(sim) == 0.0)
         smodel.check_similarity_matrix(sim)
+
+    @pytest.mark.parametrize("n_topics", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_per_pair_kl_reference(self, seed, n_topics):
+        rng = np.random.default_rng(50 + seed)
+        docs = random_corpus(rng, n_docs=12, vocab_size=8)
+        model = profiles.em_fit(docs, n_topics=n_topics, seed=seed)
+        sim = profiles.experience_similarity_matrix(docs, model)
+        post = [profiles.topic_posterior(doc, model) for doc in docs]
+        n = len(docs)
+        reference = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    reference[i, j] = -(
+                        profiles.kl_divergence(post[i], post[j])
+                        + profiles.kl_divergence(post[j], post[i])
+                    ) / 2.0
+        assert np.abs(sim - reference).max() <= 1e-10
+        assert np.array_equal(sim, sim.T)
+        assert np.all(np.diag(sim) == 0.0)
+
+    def test_identical_bags_have_zero_similarity(self):
+        rng = np.random.default_rng(11)
+        docs = random_corpus(rng, n_docs=6)
+        docs.append(Experience(counts=dict(docs[2].counts)))
+        model = profiles.em_fit(docs, n_topics=3, seed=5)
+        sim = profiles.experience_similarity_matrix(docs, model)
+        assert abs(sim[2, 6]) <= 1e-12
+        assert abs(sim[6, 2]) <= 1e-12
+
+    def test_undefined_posteriors_rejected(self):
+        # a zero word probability makes 0 * log(0) = NaN in the log-joint of
+        # every worker who never used that word
+        model = TopicModel(
+            pi=np.array([0.5, 0.5]),
+            mu=np.array([[1.0, 0.0], [0.5, 0.5]]),
+            vocab=("a", "b"),
+        )
+        with pytest.raises(ValueError, match="posteriors"):
+            profiles.experience_similarity_matrix([experience("a"), experience("b")], model)
 
     def test_outlier_selected_by_smodel(self):
         twin_a = experience(*(["cat", "dog"] * 10))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -178,6 +179,74 @@ class TestGreedySelect:
             rand = smodel.diversity([int(i) for i in pick], sim)
             wins += greedy >= rand
         assert wins >= 90
+
+
+def greedy_reference(sim: np.ndarray, k: int) -> tuple[int, ...]:
+    """Plain-Python greedy from every seed pair; ties go to the smallest index/pair."""
+    n = len(sim)
+    best_div, best = -math.inf, None
+    for a, b in itertools.combinations(range(n), 2):
+        crowd, total = [a, b], float(sim[a, b])
+        while len(crowd) < k:
+            margin, w = min(
+                (sum(float(sim[w, m]) for m in crowd), w) for w in range(n) if w not in crowd
+            )
+            crowd.append(w)
+            total += margin
+        if -total / k > best_div:
+            best_div, best = -total / k, tuple(sorted(crowd))
+    return best
+
+
+class TestGreedyReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_on_tie_heavy_matrices(self, seed):
+        # small integers are exact in floating point, so ties are real ties
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(5, 13))
+        sim = np.triu(rng.integers(-2, 3, size=(n, n)).astype(float), 1)
+        sim = sim + sim.T
+        for k in range(2, n + 1):
+            assert smodel.greedy_select(sim, k) == greedy_reference(sim, k)
+
+
+class TestNonFiniteMatrices:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("solver", [smodel.greedy_select, smodel.exact_select])
+    def test_rejected_by_solvers(self, solver, bad):
+        sim = SIX_WORKERS.copy()
+        sim[1, 3] = sim[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solver(sim, 3)
+
+    @pytest.mark.parametrize("solver", [smodel.greedy_select, smodel.exact_select])
+    def test_overflowing_pair_sums_raise(self, solver):
+        sim = np.full((4, 4), 1e308)
+        with pytest.raises(ValueError, match="too large"):
+            solver(sim, 3)
+
+
+class TestComboCache:
+    def test_alternating_keys_reuse_arrays(self, monkeypatch):
+        monkeypatch.setattr(smodel, "_combo_cache", {})
+        first = next(smodel._index_combo_blocks(10, 4))
+        second = next(smodel._index_combo_blocks(12, 5))
+        for _ in range(3):
+            assert next(smodel._index_combo_blocks(10, 4)).base is first.base
+            assert next(smodel._index_combo_blocks(12, 5)).base is second.base
+        assert len(smodel._combo_cache) == 2
+
+    def test_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(smodel, "_combo_cache", {})
+        sizes = {key: math.comb(*key) * key[1] * 2 for key in [(10, 4), (12, 5), (11, 3)]}
+        # room for the two largest entries, not for all three
+        budget = sizes[(12, 5)] + sizes[(10, 4)]
+        monkeypatch.setattr(smodel, "_CACHE_BYTES", budget)
+        for key in [(10, 4), (12, 5), (10, 4), (11, 3)]:
+            list(smodel._index_combo_blocks(*key))
+            assert sum(a.nbytes for a in smodel._combo_cache.values()) <= budget
+        # (12, 5) was used least recently, so it made room for (11, 3)
+        assert list(smodel._combo_cache) == [(10, 4), (11, 3)]
 
 
 class TestSubmodularity:
