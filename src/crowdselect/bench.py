@@ -13,30 +13,14 @@ import csv
 import hashlib
 import json
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import smodel, tmodel
+from . import solvers, tmodel
 from .errors import EnumerationLimitError, TimeBudgetError
 from .pbd import DemandWindow
-
-CSV_HEADER = [
-    "trial",
-    "method",
-    "k",
-    "theta1",
-    "theta0",
-    "objective",
-    "tau_or_div",
-    "wall_time_s",
-    "status",
-]
-
-SMODEL_METHODS = ("exact", "greedy", "random")
-TMODEL_METHODS = ("exact", "poisson", "binomial", "normal-sa", "dftcf-sa", "random")
 
 # Wall-clock cap per exact cell; cells beyond it are reported as timed out.
 DEFAULT_EXACT_BUDGET_S = 500.0
@@ -70,16 +54,18 @@ class DistSpec:
         if isinstance(text, DistSpec):
             return text
         if isinstance(text, dict):
+            if "kind" not in text:
+                raise ValueError("distribution mapping needs a 'kind'")
             return cls(
                 kind=text["kind"],
                 mean=text.get("mean"),
                 stddev=text.get("stddev"),
             )
+        if not isinstance(text, str):
+            raise ValueError(f"cannot parse distribution spec {text!r}")
         text = text.strip()
-        if text == "uniform":
-            return cls(kind="uniform")
-        if text == "normal":
-            return cls(kind="normal")
+        if text in ("uniform", "normal"):
+            return cls(kind=text)
         match = re.match(r"^normal\(([^,]+),([^)]+)\)$", text)
         if match:
             return cls(
@@ -138,10 +124,19 @@ def resolve_demand(spec, k: int) -> int:
         match = _FRACTION_RE.match(text)
         if match:
             numerator = int(match.group(1)) if match.group(1) else 1
-            value = (numerator * k) // int(match.group(2))
+            denominator = int(match.group(2))
+            if denominator == 0:
+                raise ValueError(f"demand {spec!r} divides by zero")
+            value = (numerator * k) // denominator
         else:
             value = int(text)
     return max(0, value)
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -160,32 +155,50 @@ class ExperimentConfig:
     sa_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.model not in ("smodel", "tmodel"):
+        if self.model not in solvers.SOLVERS:
             raise ValueError("model must be 'smodel' or 'tmodel'")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        known = SMODEL_METHODS if self.model == "smodel" else TMODEL_METHODS
-        unknown = [m for m in self.methods if m not in known]
+        if any(k < 1 for k in self.ks):
+            raise ValueError(f"every k must be at least 1, got {list(self.ks)}")
+        unknown = [m for m in self.methods if m not in solvers.SOLVERS[self.model]]
         if unknown:
             raise ValueError(f"unknown methods for {self.model}: {unknown}")
         if self.model == "tmodel" and self.methods and not self.demands:
             raise ValueError("tmodel experiments need a demand grid")
+        for pair in self.demands:
+            for spec in pair:
+                resolve_demand(spec, 1)
+        try:
+            tmodel.SaParams(seed=0, **self.sa_params)
+        except TypeError as err:  # an unknown field, or a seed of its own
+            raise ValueError(f"sa: {err}") from None
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        """Build from parsed JSON; a missing or malformed field is a ValueError naming it."""
+        if not isinstance(raw, dict):
+            raise ValueError("experiment config must be a JSON object")
+
+        def get(key, parse, *default):
+            if key not in raw and not default:
+                raise ValueError(f"config field {key!r} is required")
+            try:
+                return parse(raw.get(key, *default))
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"config field {key!r}: {err}") from None
+
         return cls(
-            model=raw["model"],
-            n=int(raw["n"]),
-            trials=int(raw["trials"]),
-            distribution=DistSpec.parse(raw.get("distribution", "uniform")),
-            ks=tuple(int(k) for k in raw["k"]),
-            demands=tuple(
-                (d[0], d[1]) for d in raw.get("demands", [])
-            ),
-            methods=tuple(raw.get("methods", [])),
-            seed=int(raw.get("seed", 0)),
-            exact_budget_s=float(raw.get("exact_budget_s", DEFAULT_EXACT_BUDGET_S)),
-            sa_params=dict(raw.get("sa", {})),
+            model=get("model", str),
+            n=get("n", int),
+            trials=get("trials", int),
+            distribution=get("distribution", DistSpec.parse, "uniform"),
+            ks=get("k", lambda v: tuple(int(k) for k in _json_list(v))),
+            demands=get("demands", lambda v: tuple((t1, t0) for t1, t0 in _json_list(v)), []),
+            methods=get("methods", lambda v: tuple(_json_list(v)), []),
+            seed=get("seed", int, 0),
+            exact_budget_s=get("exact_budget_s", float, DEFAULT_EXACT_BUDGET_S),
+            sa_params=get("sa", dict, {}),
         )
 
     @classmethod
@@ -206,24 +219,13 @@ class TrialRow:
     status: str
 
     def as_csv(self) -> list[str]:
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
+        # str of a float is its shortest round-tripping repr
+        values = (getattr(self, name) for name in CSV_HEADER)
+        return ["" if v is None else str(v) for v in values]
 
-        return [
-            fmt(self.trial),
-            self.method,
-            fmt(self.k),
-            fmt(self.theta1),
-            fmt(self.theta0),
-            fmt(self.objective),
-            fmt(self.tau_or_div),
-            fmt(self.wall_time_s),
-            self.status,
-        ]
+
+# the report columns are the row fields, in order
+CSV_HEADER = [f.name for f in fields(TrialRow)]
 
 
 @dataclass
@@ -236,12 +238,9 @@ class TrialReport:
     def summary(self) -> dict:
         per_method: dict[str, dict] = {}
         for method in sorted({r.method for r in self.rows}):
-            scores = [
-                r.tau_or_div for r in self.rows if r.method == method and r.status == "ok"
-            ]
-            times = [
-                r.wall_time_s for r in self.rows if r.method == method and r.status == "ok"
-            ]
+            ok = [r for r in self.rows if r.method == method and r.status == "ok"]
+            scores = [r.tau_or_div for r in ok]
+            times = [r.wall_time_s for r in ok]
             per_method[method] = {
                 "runs": len(scores),
                 "mean_score": float(np.mean(scores)) if scores else None,
@@ -272,39 +271,6 @@ class TrialReport:
         Path(path).write_text(json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
 
 
-def _run_smodel_method(method, matrix, k, seed, exact_budget):
-    started = time.perf_counter()
-    if method == "exact":
-        crowd = smodel.exact_select(matrix, k, time_budget_s=exact_budget)
-    elif method == "greedy":
-        crowd = smodel.greedy_select(matrix, k)
-    elif method == "random":
-        rng = np.random.default_rng(seed)
-        crowd = tuple(sorted(int(i) for i in rng.choice(matrix.shape[0], size=k, replace=False)))
-    else:
-        raise ValueError(f"unknown smodel method {method!r}")
-    elapsed = time.perf_counter() - started
-    div = smodel.diversity(crowd, matrix)
-    return div, div, elapsed
-
-
-def _run_tmodel_method(method, pool, window, seed, sa_kwargs, exact_budget):
-    if method == "exact":
-        res = tmodel.exact_select(pool, window, time_budget_s=exact_budget)
-    elif method == "poisson":
-        res = tmodel.select_poisson(pool, window)
-    elif method == "binomial":
-        res = tmodel.select_binomial(pool, window)
-    elif method in ("normal-sa", "dftcf-sa"):
-        params = tmodel.SaParams(seed=seed, **sa_kwargs)
-        res = tmodel.sa_select(pool, window, objective=method.split("-")[0], params=params)
-    elif method == "random":
-        res = tmodel.random_select(pool, window, seed=seed)
-    else:
-        raise ValueError(f"unknown tmodel method {method!r}")
-    return res.objective, res.tau, res.wall_time
-
-
 def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     """Run every configured method over the full (trial, k, demand) grid.
 
@@ -312,60 +278,32 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     aborting the run. Each trial draws its data from a seed derived from the
     base seed, and each stochastic method run gets its own derived stream.
     """
+    generate = gen_similarity_matrix if cfg.model == "smodel" else gen_opinions
     rows: list[TrialRow] = []
     for trial in range(cfg.trials):
-        data_seed = derive_seed(cfg.seed, "data", trial)
-        if cfg.model == "smodel":
-            matrix = gen_similarity_matrix(cfg.n, cfg.distribution, data_seed)
-            pool = None
-        else:
-            matrix = None
-            pool = gen_opinions(cfg.n, cfg.distribution, data_seed)
+        data = generate(cfg.n, cfg.distribution, derive_seed(cfg.seed, "data", trial))
         for k in cfg.ks:
-            cells = [(None, None)] if cfg.model == "smodel" else list(cfg.demands)
-            for demand in cells:
-                theta1 = theta0 = None
-                window = None
-                if cfg.model == "tmodel":
-                    theta1 = resolve_demand(demand[0], k)
-                    theta0 = resolve_demand(demand[1], k)
-                    if theta1 + theta0 > k or k > cfg.n:
-                        rows.append(
-                            TrialRow(trial, "-", k, theta1, theta0, None, None, None,
-                                     "skipped-infeasible")
-                        )
-                        continue
-                    window = DemandWindow(theta1=theta1, theta0=theta0, k=k)
-                elif k > cfg.n:
-                    rows.append(
-                        TrialRow(trial, "-", k, None, None, None, None, None,
-                                 "skipped-infeasible")
-                    )
+            if cfg.model == "smodel":
+                cells = [(None, None)]
+            else:
+                cells = [(resolve_demand(d1, k), resolve_demand(d0, k)) for d1, d0 in cfg.demands]
+            for theta1, theta0 in cells:
+                if k > cfg.n or (theta1 is not None and theta1 + theta0 > k):
+                    rows.append(TrialRow(trial, "-", k, theta1, theta0, None, None, None,
+                                         "skipped-infeasible"))
                     continue
+                target = k if theta1 is None else DemandWindow(theta1=theta1, theta0=theta0, k=k)
                 for method in cfg.methods:
                     method_seed = derive_seed(cfg.seed, trial, k, theta1, theta0, method)
                     try:
-                        if cfg.model == "smodel":
-                            objective, score, elapsed = _run_smodel_method(
-                                method, matrix, k, method_seed, cfg.exact_budget_s
-                            )
-                        else:
-                            objective, score, elapsed = _run_tmodel_method(
-                                method, pool, window, method_seed,
-                                cfg.sa_params, cfg.exact_budget_s,
-                            )
-                        rows.append(
-                            TrialRow(trial, method, k, theta1, theta0,
-                                     objective, score, elapsed, "ok")
+                        result = solvers.solve(
+                            cfg.model, method, data, target, method_seed,
+                            cfg.sa_params, cfg.exact_budget_s,
                         )
+                        outcome = (result.objective, result.score, result.wall_time, "ok")
                     except EnumerationLimitError:
-                        rows.append(
-                            TrialRow(trial, method, k, theta1, theta0,
-                                     None, None, None, "skipped-guard")
-                        )
+                        outcome = (None, None, None, "skipped-guard")
                     except TimeBudgetError as err:
-                        rows.append(
-                            TrialRow(trial, method, k, theta1, theta0,
-                                     None, None, err.elapsed_s, "timeout")
-                        )
+                        outcome = (None, None, err.elapsed_s, "timeout")
+                    rows.append(TrialRow(trial, method, k, theta1, theta0, *outcome))
     return TrialReport(config=cfg, rows=rows)

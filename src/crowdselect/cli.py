@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import bench, pbd, profiles, smodel, tmodel
+from . import bench, pbd, profiles, smodel, solvers, tmodel
 
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
@@ -122,23 +122,15 @@ def load_corpus_jsonl(path) -> list[tuple[str, str, str]]:
     return records
 
 
-def load_inputs(path, kind: str):
-    """Typed file ingestion: kind is 'matrix', 'pool' or 'corpus'."""
-    if kind == "matrix":
-        return load_matrix_csv(path)
-    if kind == "pool":
-        return load_pool_csv(path)
-    if kind == "corpus":
-        return load_corpus_jsonl(path)
-    raise ValueError(f"unknown input kind {kind!r}")
-
-
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True) + "\n", out)
 
 
 @click.group()
@@ -183,27 +175,19 @@ def select_group():
 @select_group.command("s")
 @click.option("--matrix", "matrix_path", required=True, type=click.Path())
 @click.option("-k", "k", required=True, type=int, help="Crowd size.")
-@click.option("--method", type=click.Choice(list(bench.SMODEL_METHODS)), default="greedy")
+@click.option("--method", type=click.Choice(list(solvers.SOLVERS["smodel"])), default="greedy")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default=None)
 def select_s(matrix_path, k, method, seed, out):
     """Similarity-driven selection from a matrix file."""
     ids, matrix = load_matrix_csv(matrix_path)
-    if method == "exact":
-        crowd = smodel.exact_select(matrix, k)
-    elif method == "greedy":
-        crowd = smodel.greedy_select(matrix, k)
-    else:
-        rng = np.random.default_rng(seed)
-        if not 1 <= k <= matrix.shape[0]:
-            raise ValueError(f"k must lie in [1, {matrix.shape[0]}], got {k}")
-        crowd = tuple(sorted(int(i) for i in rng.choice(matrix.shape[0], size=k, replace=False)))
+    result = solvers.solve("smodel", method, matrix, k, seed)
     _emit(
         {
-            "method": method,
-            "subset": [ids[i] for i in crowd],
-            "indices": list(crowd),
-            "div": smodel.diversity(crowd, matrix),
+            "method": result.method,
+            "subset": [ids[i] for i in result.subset],
+            "indices": list(result.subset),
+            "div": result.score,
         },
         out,
     )
@@ -216,7 +200,7 @@ def select_s(matrix_path, k, method, seed, out):
 @click.option("-k", "k", required=True, type=int, help="Crowd size.")
 @click.option("--theta1", required=True, type=int)
 @click.option("--theta0", required=True, type=int)
-@click.option("--method", type=click.Choice(list(bench.TMODEL_METHODS)), default="dftcf-sa")
+@click.option("--method", type=click.Choice(list(solvers.SOLVERS["tmodel"])), default="dftcf-sa")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--t-ini", type=float, default=tmodel.SA_T_INI, show_default=True)
 @click.option("--t-end", type=float, default=tmodel.SA_T_END, show_default=True)
@@ -229,17 +213,8 @@ def select_t(pool_path, probs, k, theta1, theta0, method, seed, t_ini, t_end, sa
         raise ValueError("provide exactly one of --pool or --probs")
     pool = load_pool_csv(pool_path) if pool_path else tmodel.CandidatePool.from_probs(_parse_probs(probs))
     window = pbd.DemandWindow(theta1=theta1, theta0=theta0, k=k)
-    if method == "exact":
-        result = tmodel.exact_select(pool, window)
-    elif method == "poisson":
-        result = tmodel.select_poisson(pool, window)
-    elif method == "binomial":
-        result = tmodel.select_binomial(pool, window)
-    elif method in ("normal-sa", "dftcf-sa"):
-        params = tmodel.SaParams(t_ini=t_ini, t_end=t_end, r=sa_r, c=sa_c, seed=seed)
-        result = tmodel.sa_select(pool, window, objective=method.split("-")[0], params=params)
-    else:
-        result = tmodel.random_select(pool, window, seed=seed)
+    sa = {"t_ini": t_ini, "t_end": t_end, "r": sa_r, "c": sa_c}
+    result = solvers.solve("tmodel", method, pool, window, seed, sa)
     _emit(
         {
             "method": result.method,
@@ -318,11 +293,7 @@ def profile_similarity(corpus_path, model_path, out):
     lines = [",".join(worker_ids)]
     for row in sim:
         lines.append(",".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
 def main(argv=None) -> int:
@@ -335,13 +306,10 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return EXIT_RUNTIME
-    except click.UsageError as err:
+    except click.ClickException as err:  # usage errors included
         err.show()
         return EXIT_VALIDATION
-    except click.ClickException as err:
-        err.show()
-        return EXIT_VALIDATION
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:  # JSON decode errors included
         click.echo(f"error: {err}", err=True)
         return EXIT_VALIDATION
     except Exception as err:  # anything else is a runtime failure

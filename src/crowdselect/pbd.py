@@ -140,7 +140,8 @@ def pmf_dftcf(probs: Sequence[float]) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     z = np.prod(1.0 - p[None, :] * (1.0 - roots[:, None]), axis=1)
     raw = np.fft.fft(z) / (n + 1)
-    assert float(np.abs(raw.imag).max()) <= IMAG_TOL, "non-negligible imaginary residue"
+    if not float(np.abs(raw.imag).max()) <= IMAG_TOL:
+        raise RuntimeError("non-negligible imaginary residue")
     return np.clip(raw.real, 0.0, 1.0)
 
 

@@ -235,7 +235,9 @@ def em_fit(
 
 def _posteriors(counts: np.ndarray, model: TopicModel) -> np.ndarray:
     """Posterior topic distribution of each row of a (workers, vocabulary) count matrix."""
-    log_joint = counts @ np.log(model.mu).T + np.log(model.pi)
+    # a zero probability makes NaN rows (0 * log 0), which callers reject
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_joint = counts @ np.log(model.mu).T + np.log(model.pi)
     return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
 
 

@@ -3,7 +3,8 @@
 A crowd's diversity is the negated average of its pairwise similarity scores;
 selecting the k most diverse workers is done exactly by enumeration (guarded)
 or approximately by greedy hill climbing on the equivalent sum-form objective,
-which is submodular whenever similarities are non-negative.
+which is submodular whenever similarities are non-negative. A uniform random
+crowd is the baseline.
 """
 
 from __future__ import annotations
@@ -134,8 +135,10 @@ def exact_select(sim, k: int, time_budget_s: float | None = None) -> tuple[int, 
     best: tuple[int, ...] | None = None
     for block in _index_combo_blocks(n, k):
         scores = np.zeros(len(block))
-        for a, b in itertools.combinations(range(k), 2):
-            scores += matrix[block[:, a], block[:, b]]
+        # entries near the float limit overflow to inf, which argmax ranks last
+        with np.errstate(over="ignore"):
+            for a, b in itertools.combinations(range(k), 2):
+                scores += matrix[block[:, a], block[:, b]]
         scores = -scores / k
         top = int(np.argmax(scores))
         if scores[top] > best_score:
@@ -172,33 +175,44 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
     # (seeds, n) work arrays of about 512 KB keep every step's passes in cache;
     # 32 MB arrays made n = 300 three to four times slower on a 2 MB-L2 core
     chunk = max(1, (1 << 16) // n)
-    for start in range(0, rows.size, chunk):
-        s0 = rows[start : start + chunk]
-        s1 = cols[start : start + chunk]
-        count = s0.size
-        idx = np.arange(count)
-        # marginal[s, w] = similarity mass w would add to seed s's crowd;
-        # maximizing Div(crowd + w) is minimizing this margin
-        marginal = matrix[s0] + matrix[s1]
-        pair_sum = matrix[s0, s1].astype(float)
-        # a member's margin is +inf so argmin never picks it again; adding
-        # finite rows keeps it +inf, which is why the matrix must be finite
-        marginal[idx, s0] = np.inf
-        marginal[idx, s1] = np.inf
-        members = np.empty((count, k), dtype=np.int64)
-        members[:, 0] = s0
-        members[:, 1] = s1
-        for step in range(2, k):
-            w = marginal.argmin(axis=1)
-            pair_sum += marginal[idx, w]
-            members[:, step] = w
-            marginal += matrix[w]
-            marginal[idx, w] = np.inf
-        div = -pair_sum / k
-        top = int(np.argmax(div))
-        if div[top] > best_div:
-            best_div = float(div[top])
-            best_members = members[top]
+    # entries near the float limit overflow to inf, reported below
+    with np.errstate(over="ignore"):
+        for start in range(0, rows.size, chunk):
+            s0 = rows[start : start + chunk]
+            s1 = cols[start : start + chunk]
+            count = s0.size
+            idx = np.arange(count)
+            # marginal[s, w] = similarity mass w would add to seed s's crowd;
+            # maximizing Div(crowd + w) is minimizing this margin
+            marginal = matrix[s0] + matrix[s1]
+            pair_sum = matrix[s0, s1].astype(float)
+            # a member's margin is +inf so argmin never picks it again; adding
+            # finite rows keeps it +inf, which is why the matrix must be finite
+            marginal[idx, s0] = np.inf
+            marginal[idx, s1] = np.inf
+            members = np.empty((count, k), dtype=np.int64)
+            members[:, 0] = s0
+            members[:, 1] = s1
+            for step in range(2, k):
+                w = marginal.argmin(axis=1)
+                pair_sum += marginal[idx, w]
+                members[:, step] = w
+                marginal += matrix[w]
+                marginal[idx, w] = np.inf
+            div = -pair_sum / k
+            top = int(np.argmax(div))
+            if div[top] > best_div:
+                best_div = float(div[top])
+                best_members = members[top]
     if best_members is None:
         raise ValueError(_OVERFLOW_MESSAGE)
     return tuple(sorted(int(i) for i in best_members))
+
+
+def random_select(sim, k: int, seed: int) -> tuple[int, ...]:
+    """Uniform random size-k crowd; the baseline. The draw is fixed by the seed."""
+    n = check_similarity_matrix(sim).shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    rng = np.random.default_rng(seed)
+    return tuple(sorted(int(i) for i in rng.choice(n, size=k, replace=False)))

@@ -77,21 +77,35 @@ class SaParams:
             raise ValueError("cooling ratio c must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SelectionResult:
-    """Outcome of one solver run.
+    """Outcome of one solver run, of either model.
 
-    tau is always the exact window probability of the returned subset
-    (recomputed from the PMF), so results of different solvers compare on the
-    same scale; objective is whatever internal score the solver maximized.
+    score is recomputed from the returned subset, so results of different
+    solvers compare: the exact window probability tau (T-model) or the
+    diversity (S-model, whose subset holds indices). objective is whatever
+    internal score the solver maximized.
     """
 
     subset: tuple[Hashable, ...]
-    tau: float
+    score: float
     objective: float
     method: str
     wall_time: float
     indices: tuple[int, ...] = field(default=(), repr=False)
+
+    def __init__(self, *, subset, objective, method, wall_time, indices=(), score=None, tau=None):
+        # tau, the T-model name of score, wins when both are given, so that
+        # dataclasses.replace(result, tau=...) replaces the score
+        score = score if tau is None else tau
+        values = (subset, score, objective, method, wall_time, indices)
+        for name, value in zip(self.__dataclass_fields__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def tau(self) -> float:
+        """The score of a T-model result: the exact window probability."""
+        return self.score
 
 
 def _result(
@@ -106,7 +120,7 @@ def _result(
     tau = pbd.window_prob(pool.probs[list(idx)], window)
     return SelectionResult(
         subset=pool.subset_ids(idx),
-        tau=tau,
+        score=tau,
         objective=tau if objective is None else float(objective),
         method=method,
         wall_time=time.perf_counter() - started,
@@ -150,7 +164,8 @@ def exact_select(
             elapsed = time.perf_counter() - started
             if elapsed > time_budget_s:
                 raise TimeBudgetError(time_budget_s, elapsed)
-    assert best is not None
+    if best is None:
+        raise RuntimeError("no subset has a comparable window probability")
     return _result(pool, window, best, best_tau, "exact", started)
 
 
@@ -247,7 +262,8 @@ def exact_knapsack(
             best_value = float(values[top])
             best_light = int(light_codes[pos[top]])
             best_heavy = int(heavy_codes[top])
-    assert best_value > -math.inf, "minimal-load check guarantees a feasible pairing"
+    if best_value == -math.inf:
+        raise RuntimeError("minimal-load check guarantees a feasible pairing")
     chosen = _code_to_indices(best_light, 0) + _code_to_indices(best_heavy, half)
     return tuple(sorted(int(order[i]) for i in chosen))
 
@@ -276,7 +292,8 @@ def _two_sided_knapsack(
         else tuple(sorted(set(range(n)) - set(complement)))
     )
     sides = [s for s in (below, above) if s is not None]
-    assert sides, "a feasible k-subset always exists on at least one side of the peak"
+    if not sides:
+        raise RuntimeError("a feasible k-subset always exists on at least one side of the peak")
     if below is not None and above is not None:
         score_below = score_of_mass(float(pool.probs[list(below)].sum()))
         score_above = score_of_mass(float(pool.probs[list(above)].sum()))

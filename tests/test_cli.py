@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -165,7 +166,7 @@ class TestLoaders:
         path = tmp_path / "bad.csv"
         write_matrix(path, ["a", "b"], [[0.0, 0.5], [0.4, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            cli.load_inputs(path, "matrix")
+            cli.load_matrix_csv(path)
 
     def test_matrix_row_count_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -183,7 +184,7 @@ class TestLoaders:
         path = tmp_path / "pool.csv"
         path.write_text("worker_id,p\nw1,0.5\nw2,1.5\n")
         with pytest.raises(ValueError, match="row 3"):
-            cli.load_inputs(path, "pool")
+            cli.load_pool_csv(path)
 
     def test_pool_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "pool.csv"
@@ -231,12 +232,8 @@ class TestLoaders:
         with pytest.raises(ValueError, match="line 1"):
             cli.load_corpus_jsonl(path)
 
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="kind"):
-            cli.load_inputs(tmp_path / "x", "graph")
-
     def test_matrix_round_trip(self, matrix_file):
-        ids, matrix = cli.load_inputs(matrix_file, "matrix")
+        ids, matrix = cli.load_matrix_csv(matrix_file)
         assert ids == ["a", "b", "c"]
         assert matrix[0, 2] == 0.9
 
@@ -311,6 +308,42 @@ class TestBenchCommand:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert set(summary["methods"]) == {"greedy", "random"}
 
+    @pytest.mark.parametrize(
+        "config,field",
+        [
+            ({"model": "smodel", "trials": 1, "k": [2]}, "'n'"),
+            ({"model": "smodel", "n": 6, "trials": 1, "k": 5}, "'k'"),
+            ({"model": "smodel", "n": 6, "trials": 1, "k": [2],
+              "distribution": {"mean": 1}}, "'distribution'"),
+            ({"model": "smodel", "n": 6, "trials": 1, "k": [2], "distribution": 5},
+             "'distribution'"),
+            (["model", "smodel"], "config"),
+            ({"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, "k/0"]],
+              "methods": ["random"]}, "demand"),
+            ({"model": "smodel", "n": 6, "trials": 1, "k": [2], "methods": "greedy"},
+             "'methods'"),
+            ({"model": "smodel", "n": 6, "trials": 1, "k": [2, 0],
+              "methods": ["greedy"]}, "every k must be at least 1"),
+            ({"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
+              "methods": ["random", "dftcf-sa"], "sa": {"seed": 3}}, "sa: "),
+            ({"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
+              "methods": ["random", "dftcf-sa"], "sa": {"temp": 3}}, "sa: "),
+        ],
+        ids=["missing-n", "scalar-k", "distribution-no-kind", "distribution-number",
+             "top-level-list", "demand-zero-denominator", "methods-string", "zero-k",
+             "sa-seed", "sa-unknown-field"],
+    )
+    def test_config_error_exit_2_before_any_cell(self, capsys, tmp_path, config, field):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys, "bench", "run", "--config", str(config_path), "--out-dir", str(out_dir)
+        )
+        assert code == 2
+        assert err.startswith("error: ") and field in err
+        assert not out_dir.exists()
+
     def test_missing_config_exit_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "bench", "run", "--config", str(tmp_path / "nope.json"),
@@ -342,3 +375,150 @@ class TestExitCodes:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "select" in out
+
+
+# Byte-exact outputs of every selection method on small seeded inputs. They
+# pin behaviour across refactors of the solver dispatch; a change here means
+# the CLI or bench output changed.
+GOLDEN_MATRIX = """\
+a,b,c,d,e,f,g
+0.0,-0.76,-0.2,-0.42,-0.91,-0.57,-0.52
+-0.76,0.0,-0.89,-0.61,-0.48,-0.57,-0.41
+-0.2,-0.89,0.0,-0.35,-0.3,-0.71,-1.0
+-0.42,-0.61,-0.35,0.0,-0.41,-0.53,-0.23
+-0.91,-0.48,-0.3,-0.41,0.0,-0.07,-0.79
+-0.57,-0.57,-0.71,-0.53,-0.07,0.0,-0.34
+-0.52,-0.41,-1.0,-0.23,-0.79,-0.34,0.0
+"""
+GOLDEN_POOL = "worker_id,p\n" + "".join(
+    f"w{i},{p}\n" for i, p in enumerate([0.12, 0.85, 0.4, 0.63, 0.27, 0.5, 0.91, 0.05])
+)
+GOLDEN_S_CONFIG = {
+    "model": "smodel", "n": 6, "trials": 2, "distribution": "uniform", "k": [2, 3, 7],
+    "methods": ["exact", "greedy", "random"], "seed": 5,
+}
+GOLDEN_T_CONFIG = {
+    "model": "tmodel", "n": 8, "trials": 1, "distribution": "normal", "k": [3, 4],
+    "demands": [[1, 1], ["k/2", "k/4"]],
+    "methods": ["exact", "poisson", "binomial", "normal-sa", "dftcf-sa", "random"],
+    "seed": 2, "sa": {"r": 20},
+}
+GOLDEN_SELECT = [
+    (('s', '--method', 'exact', '--seed', '0'),
+     '{"div": 0.7666666666666666, "indices": [1, 2, 6], "method": "exact", "subset": ["b", "c", "g"]}\n'),
+    (('s', '--method', 'greedy', '--seed', '0'),
+     '{"div": 0.7666666666666666, "indices": [1, 2, 6], "method": "greedy", "subset": ["b", "c", "g"]}\n'),
+    (('s', '--method', 'random', '--seed', '0'),
+     '{"div": 0.47666666666666674, "indices": [3, 4, 6], "method": "random", "subset": ["d", "e", "g"]}\n'),
+    (('s', '--method', 'exact', '--seed', '1'),
+     '{"div": 0.7666666666666666, "indices": [1, 2, 6], "method": "exact", "subset": ["b", "c", "g"]}\n'),
+    (('s', '--method', 'greedy', '--seed', '1'),
+     '{"div": 0.7666666666666666, "indices": [1, 2, 6], "method": "greedy", "subset": ["b", "c", "g"]}\n'),
+    (('s', '--method', 'random', '--seed', '1'),
+     '{"div": 0.53, "indices": [2, 3, 5], "method": "random", "subset": ["c", "d", "f"]}\n'),
+    (('t', '--method', 'exact', '--seed', '0', '--sa-r', '3'),
+     '{"indices": [1, 3, 6, 7], "method": "exact", "objective": 0.8876905, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
+    (('t', '--method', 'poisson', '--seed', '0', '--sa-r', '3'),
+     '{"indices": [1, 3, 5, 6], "method": "poisson", "objective": 0.22357911111139037, "subset": ["w1", "w3", "w5", "w6"], "tau": 0.707695}\n'),
+    (('t', '--method', 'binomial', '--seed', '0', '--sa-r', '3'),
+     '{"indices": [1, 3, 5, 6], "method": "binomial", "objective": 0.41863596234374956, "subset": ["w1", "w3", "w5", "w6"], "tau": 0.707695}\n'),
+    (('t', '--method', 'normal-sa', '--seed', '0', '--sa-r', '3'),
+     '{"indices": [1, 3, 6, 7], "method": "normal-sa", "objective": 0.8453641868698465, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
+    (('t', '--method', 'dftcf-sa', '--seed', '0', '--sa-r', '3'),
+     '{"indices": [1, 3, 6, 7], "method": "dftcf-sa", "objective": 0.8876905000000002, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
+    (('t', '--method', 'random', '--seed', '0', '--sa-r', '3'),
+     '{"indices": [0, 3, 6, 7], "method": "random", "objective": 0.6345776000000001, "subset": ["w0", "w3", "w6", "w7"], "tau": 0.6345776000000001}\n'),
+    (('t', '--method', 'exact', '--seed', '1', '--sa-r', '3'),
+     '{"indices": [1, 3, 6, 7], "method": "exact", "objective": 0.8876905, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
+    (('t', '--method', 'poisson', '--seed', '1', '--sa-r', '3'),
+     '{"indices": [1, 3, 5, 6], "method": "poisson", "objective": 0.22357911111139037, "subset": ["w1", "w3", "w5", "w6"], "tau": 0.707695}\n'),
+    (('t', '--method', 'binomial', '--seed', '1', '--sa-r', '3'),
+     '{"indices": [1, 3, 5, 6], "method": "binomial", "objective": 0.41863596234374956, "subset": ["w1", "w3", "w5", "w6"], "tau": 0.707695}\n'),
+    (('t', '--method', 'normal-sa', '--seed', '1', '--sa-r', '3'),
+     '{"indices": [1, 3, 6, 7], "method": "normal-sa", "objective": 0.8453641868698465, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
+    (('t', '--method', 'dftcf-sa', '--seed', '1', '--sa-r', '3'),
+     '{"indices": [1, 3, 6, 7], "method": "dftcf-sa", "objective": 0.8876905000000002, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
+    (('t', '--method', 'random', '--seed', '1', '--sa-r', '3'),
+     '{"indices": [0, 2, 4, 7], "method": "random", "objective": 0.18443600000000016, "subset": ["w0", "w2", "w4", "w7"], "tau": 0.18443600000000016}\n'),
+    (('t', '--method', 'dftcf-sa', '--seed', '3', '--t-ini', '0.5', '--t-end', '0.2', '--sa-r', '2', '--sa-c', '0.5'),
+     '{"indices": [0, 1, 3, 5], "method": "dftcf-sa", "objective": 0.7357400000000001, "subset": ["w0", "w1", "w3", "w5"], "tau": 0.7357400000000001}\n'),
+]
+GOLDEN_S_REPORT = """\
+trial,method,k,theta1,theta0,objective,tau_or_div,status
+0,exact,2,,,0.4808485199161895,0.4808485199161895,ok
+0,greedy,2,,,0.4808485199161895,0.4808485199161895,ok
+0,random,2,,,0.3236116232415356,0.3236116232415356,ok
+0,exact,3,,,0.8328379448258185,0.8328379448258185,ok
+0,greedy,3,,,0.8328379448258185,0.8328379448258185,ok
+0,random,3,,,0.8328379448258185,0.8328379448258185,ok
+0,-,7,,,,,skipped-infeasible
+1,exact,2,,,0.4764989012811695,0.4764989012811695,ok
+1,greedy,2,,,0.4764989012811695,0.4764989012811695,ok
+1,random,2,,,0.26305291877093306,0.26305291877093306,ok
+1,exact,3,,,0.8357020116791524,0.8357020116791524,ok
+1,greedy,3,,,0.8357020116791524,0.8357020116791524,ok
+1,random,3,,,0.5725159501980572,0.5725159501980572,ok
+1,-,7,,,,,skipped-infeasible
+"""
+GOLDEN_T_REPORT = """\
+trial,method,k,theta1,theta0,objective,tau_or_div,status
+0,exact,3,1,1,0.7615139636938726,0.7615139636938726,ok
+0,poisson,3,1,1,0.25994299613478666,0.74554109673837,ok
+0,binomial,3,1,1,0.4032868424856872,0.74554109673837,ok
+0,normal-sa,3,1,1,0.7588052088092188,0.7609927806984772,ok
+0,dftcf-sa,3,1,1,0.7615139636938726,0.7615139636938726,ok
+0,random,3,1,1,0.7561305353971475,0.7561305353971475,ok
+0,exact,3,1,0,0.9038946409887811,0.9038946409887813,ok
+0,poisson,3,1,0,0.40068493215880874,0.9038946409887813,ok
+0,binomial,3,1,0,0.5620085041099163,0.9038946409887813,ok
+0,normal-sa,3,1,0,0.8890687193538831,0.9038946409887813,ok
+0,dftcf-sa,3,1,0,0.9038946409887813,0.9038946409887813,ok
+0,random,3,1,0,0.8491159834595401,0.8491159834595401,ok
+0,exact,4,1,1,0.8811300681535649,0.8811300681535649,ok
+0,poisson,4,1,1,0.4607868961734849,0.8726052888536417,ok
+0,binomial,4,1,1,0.6535911231470939,0.8726052888536417,ok
+0,normal-sa,4,1,1,0.8709407582893611,0.8808491332081231,ok
+0,dftcf-sa,4,1,1,0.881130068153565,0.8811300681535649,ok
+0,random,4,1,1,0.8799548238309614,0.8799548238309614,ok
+0,exact,4,2,1,0.6542843562993708,0.6542843562993708,ok
+0,poisson,4,2,1,0.19116090667744448,0.6542843562993708,ok
+0,binomial,4,2,1,0.28160714509036233,0.6542843562993708,ok
+0,normal-sa,4,2,1,0.6511606770203988,0.6542843562993708,ok
+0,dftcf-sa,4,2,1,0.6542843562993708,0.6542843562993708,ok
+0,random,4,2,1,0.5949222038754135,0.5949222038754135,ok
+"""
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("case,expected", GOLDEN_SELECT)
+    def test_select_stdout(self, capsys, tmp_path, case, expected):
+        model, *options = case
+        if model == "s":
+            path = tmp_path / "matrix.csv"
+            path.write_text(GOLDEN_MATRIX)
+            args = ["select", "s", "--matrix", str(path), "-k", "3"]
+        else:
+            path = tmp_path / "pool.csv"
+            path.write_text(GOLDEN_POOL)
+            args = ["select", "t", "--pool", str(path), "-k", "4", "--theta1", "2", "--theta0", "1"]
+        code, out, _ = run(capsys, *args, *options)
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize(
+        "config,expected",
+        [(GOLDEN_S_CONFIG, GOLDEN_S_REPORT), (GOLDEN_T_CONFIG, GOLDEN_T_REPORT)],
+        ids=["smodel", "tmodel"],
+    )
+    def test_bench_report_without_wall_time(self, capsys, tmp_path, config, expected):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code, _, _ = run(
+            capsys, "bench", "run", "--config", str(config_path), "--out-dir", str(tmp_path)
+        )
+        assert code == 0
+        with open(tmp_path / "report.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        wall = rows[0].index("wall_time_s")
+        text = "".join(",".join(v for i, v in enumerate(r) if i != wall) + "\n" for r in rows)
+        assert text == expected

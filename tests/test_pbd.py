@@ -103,6 +103,13 @@ class TestPmfDftcf:
         assert mass == pytest.approx(expected, abs=1e-12)
 
 
+    def test_imaginary_residue_raises(self, monkeypatch):
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda z: fft(z) + 1e-3j)
+        with pytest.raises(RuntimeError, match="imaginary residue"):
+            pbd.pmf_dftcf([0.2, 0.7])
+
+
 class TestWindowProb:
     def test_hand_enumerated_window(self):
         w = DemandWindow(theta1=1, theta0=1, k=4)

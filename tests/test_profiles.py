@@ -262,6 +262,7 @@ class TestExperienceSimilarityMatrix:
         assert abs(sim[2, 6]) <= 1e-12
         assert abs(sim[6, 2]) <= 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_undefined_posteriors_rejected(self):
         # a zero word probability makes 0 * log(0) = NaN in the log-joint of
         # every worker who never used that word

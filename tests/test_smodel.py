@@ -210,6 +210,17 @@ class TestGreedyReference:
             assert smodel.greedy_select(sim, k) == greedy_reference(sim, k)
 
 
+class TestRandomSelect:
+    def test_sorted_numpy_choice_stream(self):
+        draw = np.random.default_rng(3).choice(6, size=3, replace=False)
+        assert smodel.random_select(SIX_WORKERS, 3, seed=3) == tuple(sorted(int(i) for i in draw))
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(ValueError, match="k must lie"):
+            smodel.random_select(SIX_WORKERS, k, seed=0)
+
+
 class TestNonFiniteMatrices:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("solver", [smodel.greedy_select, smodel.exact_select])
@@ -219,6 +230,7 @@ class TestNonFiniteMatrices:
         with pytest.raises(ValueError, match="non-finite"):
             solver(sim, 3)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("solver", [smodel.greedy_select, smodel.exact_select])
     def test_overflowing_pair_sums_raise(self, solver):
         sim = np.full((4, 4), 1e308)

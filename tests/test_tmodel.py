@@ -457,3 +457,31 @@ class TestResultInvariants:
             permuted = tmodel.exact_select(shuffled, window)
             assert set(original.subset) == set(permuted.subset)
             assert original.tau == pytest.approx(permuted.tau, abs=1e-12)
+
+
+class TestInvariantChecks:
+    """Broken internal invariants raise RuntimeError, also under python -O."""
+
+    def test_exact_select_without_comparable_tau(self, monkeypatch):
+        monkeypatch.setattr(
+            pbd.WindowKernel, "tau_many", lambda self, rows: np.full(len(rows), np.nan)
+        )
+        with pytest.raises(RuntimeError, match="window probability"):
+            tmodel.exact_select(pool_of(0.2, 0.5, 0.9), DemandWindow(1, 1, 2))
+
+    def test_knapsack_without_feasible_pairing(self, monkeypatch):
+        def overflowing_tables(weights):
+            return {
+                size: (np.full(1, np.inf), np.zeros(1, dtype=np.uint32))
+                for size in range(weights.size + 1)
+            }
+
+        monkeypatch.setattr(tmodel, "_subset_sum_tables", overflowing_tables)
+        with pytest.raises(RuntimeError, match="feasible pairing"):
+            tmodel.exact_knapsack(2, 0.9, pool_of(0.2, 0.3, 0.4, 0.6))
+
+    @pytest.mark.parametrize("solver", [tmodel.select_poisson, tmodel.select_binomial])
+    def test_knapsack_solver_without_either_side(self, monkeypatch, solver):
+        monkeypatch.setattr(tmodel, "exact_knapsack", lambda k, capacity, pool: None)
+        with pytest.raises(RuntimeError, match="feasible k-subset"):
+            solver(pool_of(0.2, 0.3, 0.4, 0.6), DemandWindow(1, 1, 2))
