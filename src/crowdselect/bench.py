@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import solvers, tmodel
+from . import smodel, solvers, tmodel
 from .errors import EnumerationLimitError, TimeBudgetError
 from .pbd import DemandWindow
 
@@ -164,6 +164,8 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in solvers.SOLVERS[self.model]]
         if unknown:
             raise ValueError(f"unknown methods for {self.model}: {unknown}")
+        if "greedy" in self.methods and any(k < smodel.GREEDY_MIN_K for k in self.ks):
+            raise ValueError(f"method 'greedy' needs k >= {smodel.GREEDY_MIN_K}, got {list(self.ks)}")
         if self.model == "tmodel" and self.methods and not self.demands:
             raise ValueError("tmodel experiments need a demand grid")
         for pair in self.demands:

@@ -25,6 +25,10 @@ BRUTEFORCE_LIMIT = 25
 # Imaginary residue allowed in the DFT output before it is discarded.
 IMAG_TOL = 1e-9
 
+# Entries of the characteristic-function factor table that pmf_dftcf forms
+# at once: 1 MB of complex values per block.
+_PMF_BLOCK = 1 << 16
+
 
 def as_prob_array(probs: Sequence[float]) -> np.ndarray:
     """Validate and convert a sequence of Bernoulli probabilities."""
@@ -131,14 +135,21 @@ def pmf_dftcf(probs: Sequence[float]) -> np.ndarray:
     """Exact PMF via the discrete Fourier transform of the characteristic function.
 
     Evaluates the characteristic function of the opinion-count sum at the
-    k+1 roots of unity and inverts with a DFT. Imaginary residue is purely a
-    floating-point artifact; it is checked against IMAG_TOL and dropped, and
-    real parts are clamped to [0, 1].
+    k+1 roots of unity and inverts with a DFT. The (k+1) x k table of factors
+    is formed a block of about 2^16 entries at a time, so memory stays O(k);
+    each root's product is computed as in one whole table, so the result is
+    the same. Imaginary residue is purely a floating-point artifact; it is
+    checked against IMAG_TOL and dropped, and real parts are clamped to
+    [0, 1].
     """
     p = as_prob_array(probs)
     n = p.size
     roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    z = np.prod(1.0 - p[None, :] * (1.0 - roots[:, None]), axis=1)
+    z = np.empty(n + 1, dtype=complex)
+    rows = max(1, _PMF_BLOCK // n)
+    for start in range(0, n + 1, rows):
+        block = roots[start : start + rows, None]
+        z[start : start + rows] = np.prod(1.0 - p[None, :] * (1.0 - block), axis=1)
     raw = np.fft.fft(z) / (n + 1)
     if not float(np.abs(raw.imag).max()) <= IMAG_TOL:
         raise RuntimeError("non-negligible imaginary residue")

@@ -25,6 +25,8 @@ _CHUNK = 1 << 18
 # finite entries near the float limit can still overflow a crowd's pair sum
 _OVERFLOW_MESSAGE = "similarity entries too large: every crowd's diversity overflows"
 _CACHE_BYTES = 64 << 20
+# greedy_select starts from a pair of workers, so it needs crowds of two or more
+GREEDY_MIN_K = 2
 # least recently used first; the arrays together stay within _CACHE_BYTES
 _combo_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -167,8 +169,8 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
     """
     matrix = check_similarity_matrix(sim)
     n = matrix.shape[0]
-    if not 2 <= k <= n:
-        raise ValueError(f"k must lie in [2, {n}], got {k}")
+    if not GREEDY_MIN_K <= k <= n:
+        raise ValueError(f"k must lie in [{GREEDY_MIN_K}, {n}], got {k}")
     rows, cols = np.triu_indices(n, 1)
     best_div = -math.inf
     best_members: np.ndarray | None = None

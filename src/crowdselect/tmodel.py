@@ -173,31 +173,46 @@ def exact_select(
 # tables no longer fit comfortably in memory.
 KNAPSACK_LIMIT = 44
 
+# Slack between masses summed in different orders; sums of at most
+# KNAPSACK_LIMIT probabilities differ by far less.
+_MASS_ROUNDING = 1e-9
+
 
 def _subset_sum_tables(
     weights: np.ndarray,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per-size subset sums of one half-pool: size -> (sorted sums, matching bitmasks)."""
+    """Per-size subset sums of one half-pool: size -> (sorted sums, matching bitmasks).
+
+    Bit j of a code selects weights[j]. Sizes follow the doubling recurrence
+    sizes = concat(sizes, sizes + 1), and one stable sort by (size, sum)
+    splits the codes into the per-size tables, ties in code order. Each sum
+    is the BLAS dot product of the code's 0/1 row with the weights, in blocks
+    of 2^18 codes. The doubling sum, sums = concat(sums, sums + w), would be
+    some thirty times cheaper, but it adds in index order and BLAS does not,
+    so the two differ in the last bit. On pools of round probabilities many
+    subsets share a mass, and that bit decides which of them a knapsack
+    query returns.
+    """
     m = weights.size
-    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     total = 1 << m
-    chunk = 1 << 18
-    shifts = np.arange(m, dtype=np.uint32)
+    sizes = np.zeros(1, dtype=np.int8)
+    for _ in range(m):
+        sizes = np.concatenate((sizes, sizes + 1))
     sums = np.empty(total)
-    sizes = np.empty(total, dtype=np.int8)
+    chunk = 1 << 18
     for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        bits = ((codes[:, None] >> shifts) & 1).astype(bool)
+        codes = np.arange(start, min(start + chunk, total), dtype="<u4")
+        octets = codes.view(np.uint8).reshape(-1, 4)
+        bits = np.unpackbits(octets, axis=1, count=m, bitorder="little")
         sums[start : start + codes.size] = bits @ weights
-        sizes[start : start + codes.size] = bits.sum(axis=1)
-    all_codes = np.arange(total, dtype=np.uint32)
-    for size in range(m + 1):
-        mask = sizes == size
-        bucket_sums = sums[mask]
-        bucket_codes = all_codes[mask]
-        order = np.argsort(bucket_sums, kind="stable")
-        tables[size] = (bucket_sums[order], bucket_codes[order])
-    return tables
+    order = np.argsort(sums, kind="stable")
+    order = order[np.argsort(sizes[order], kind="stable")]
+    sorted_sums, sorted_codes = sums[order], order.astype(np.uint32)
+    bounds = np.cumsum([0] + [math.comb(m, size) for size in range(m + 1)])
+    return {
+        size: (sorted_sums[lo:hi], sorted_codes[lo:hi])
+        for size, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    }
 
 
 def _code_to_indices(code: int, offset: int) -> list[int]:
@@ -211,6 +226,78 @@ def _code_to_indices(code: int, offset: int) -> list[int]:
     return out
 
 
+class _Knapsack:
+    """k-item knapsack queries over one pool, sharing its half-pool tables.
+
+    The pool is sorted ascending by probability once and split into a light
+    and a heavy half. The per-size subset-sum tables of both halves
+    (_subset_sum_tables) are built on the first query that needs them and
+    answer every later query, of any size and capacity: the Poisson and
+    Binomial solvers ask for k items under the peak capacity and for n - k
+    items under the rest of the mass, and build each table once.
+    """
+
+    def __init__(self, probs: np.ndarray):
+        n = probs.size
+        if n > KNAPSACK_LIMIT:
+            raise EnumerationLimitError(
+                f"exact k-item knapsack limited to {KNAPSACK_LIMIT} candidates, got {n}"
+            )
+        self._order = np.argsort(probs, kind="stable")
+        self._weights = probs[self._order]
+        self._prefix = np.concatenate(([0.0], np.cumsum(self._weights)))
+        self._half = n // 2
+        self._tables = None
+
+    def lightest(self, k: int) -> tuple[tuple[int, ...], float]:
+        """Pool indices of the k lightest workers, and their mass."""
+        return tuple(sorted(int(i) for i in self._order[:k])), float(self._prefix[k])
+
+    def best(self, k: int, capacity: float) -> tuple[int, ...] | None:
+        """Pool indices of the heaviest size-k subset within capacity, or None."""
+        order, prefix, half = self._order, self._prefix, self._half
+        n = order.size
+        if prefix[k] > capacity:  # even the lightest selection overflows
+            return None
+        if float(prefix[n] - prefix[n - k]) <= capacity:  # the heaviest selection fits
+            return tuple(sorted(int(order[i]) for i in range(n - k, n)))
+        if self._tables is None:
+            self._tables = (
+                _subset_sum_tables(self._weights[:half]),
+                _subset_sum_tables(self._weights[half:]),
+            )
+        light, heavy = self._tables
+        best_value = -math.inf
+        best_light = best_heavy = 0
+        for heavy_size, (heavy_sums, heavy_codes) in heavy.items():
+            light_size = k - heavy_size
+            if light_size < 0 or light_size > half:
+                continue
+            light_sums, light_codes = light[light_size]
+            budgets = capacity - heavy_sums
+            pos = np.searchsorted(light_sums, budgets, side="right") - 1
+            valid = pos >= 0
+            if not valid.any():
+                continue
+            values = np.where(valid, light_sums[np.maximum(pos, 0)] + heavy_sums, -np.inf)
+            top = int(np.argmax(values))
+            if values[top] > best_value:
+                best_value = float(values[top])
+                best_light = int(light_codes[pos[top]])
+                best_heavy = int(heavy_codes[top])
+        if best_value == -math.inf:
+            # rounding in the budgets capacity - heavy rejects every pairing only
+            # when each k-subset weighs the capacity to within rounding; the k
+            # lightest, which fit by the first check, are then the answer
+            light_size = min(k, half)
+            lightest = light[light_size][0][0] + heavy[k - light_size][0][0]
+            if not lightest <= capacity + _MASS_ROUNDING:
+                raise RuntimeError("minimal-load check guarantees a feasible pairing")
+            return self.lightest(k)[0]
+        chosen = _code_to_indices(best_light, 0) + _code_to_indices(best_heavy, half)
+        return tuple(sorted(int(order[i]) for i in chosen))
+
+
 def exact_knapsack(
     k: int, capacity: float, pool: CandidatePool
 ) -> tuple[int, ...] | None:
@@ -218,54 +305,20 @@ def exact_knapsack(
 
     Candidates are sorted ascending by probability so infeasibility is checked
     against the minimal attainable load (the k lightest workers); returns None
-    when even they overflow. Recursive include/exclude search is correct here
-    but degenerates to full enumeration whenever the capacity falls in the
-    bulk of the subset-sum distribution (no useful value bound exists), so the
-    search instead splits the pool and combines per-size subset-sum tables of
-    the two halves, which is exact in O(2^(n/2)) time and space.
+    when even they overflow, and the k heaviest when they fit. Recursive
+    include/exclude search is correct here but degenerates to full
+    enumeration whenever the capacity falls in the bulk of the subset-sum
+    distribution (no useful value bound exists), so the search instead splits
+    the pool and combines per-size subset-sum tables of the two halves, which
+    is exact in O(2^(n/2)) time and space. One call builds both tables; the
+    Poisson and Binomial solvers query one _Knapsack twice instead.
     """
     n = len(pool)
     if k < 0 or k > n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
     if k == 0:
         return () if capacity >= 0.0 else None
-    if n > KNAPSACK_LIMIT:
-        raise EnumerationLimitError(
-            f"exact k-item knapsack limited to {KNAPSACK_LIMIT} candidates, got {n}"
-        )
-    order = np.argsort(pool.probs, kind="stable")
-    weights = pool.probs[order]
-    prefix = np.concatenate(([0.0], np.cumsum(weights)))
-    if prefix[k] > capacity:  # even the lightest selection overflows
-        return None
-    if float(prefix[n] - prefix[n - k]) <= capacity:  # the heaviest selection fits
-        return tuple(sorted(int(order[i]) for i in range(n - k, n)))
-
-    half = n // 2
-    light = _subset_sum_tables(weights[:half])
-    heavy = _subset_sum_tables(weights[half:])
-    best_value = -math.inf
-    best_light = best_heavy = 0
-    for heavy_size, (heavy_sums, heavy_codes) in heavy.items():
-        light_size = k - heavy_size
-        if light_size < 0 or light_size > half:
-            continue
-        light_sums, light_codes = light[light_size]
-        budgets = capacity - heavy_sums
-        pos = np.searchsorted(light_sums, budgets, side="right") - 1
-        valid = pos >= 0
-        if not valid.any():
-            continue
-        values = np.where(valid, light_sums[np.maximum(pos, 0)] + heavy_sums, -np.inf)
-        top = int(np.argmax(values))
-        if values[top] > best_value:
-            best_value = float(values[top])
-            best_light = int(light_codes[pos[top]])
-            best_heavy = int(heavy_codes[top])
-    if best_value == -math.inf:
-        raise RuntimeError("minimal-load check guarantees a feasible pairing")
-    chosen = _code_to_indices(best_light, 0) + _code_to_indices(best_heavy, half)
-    return tuple(sorted(int(order[i]) for i in chosen))
+    return _Knapsack(pool.probs).best(k, capacity)
 
 
 def _two_sided_knapsack(
@@ -279,21 +332,26 @@ def _two_sided_knapsack(
 
     Finds the feasible subset whose opinion mass lands just below the peak
     capacity, and (through the complement construction) the one just above,
-    then keeps whichever scores higher under the approximation.
+    then keeps whichever scores higher under the approximation. Both queries
+    share one _Knapsack, so each half-pool table is built once per solve.
     """
     started = time.perf_counter()
     _check_feasible(pool, window)
     n, k = len(pool), window.k
-    below = exact_knapsack(k, capacity, pool)
-    complement = exact_knapsack(n - k, float(pool.probs.sum()) - capacity, pool)
+    knapsack = _Knapsack(pool.probs)
+    below = knapsack.best(k, capacity)
+    complement = knapsack.best(n - k, float(pool.probs.sum()) - capacity)
     above = (
         None
         if complement is None
         else tuple(sorted(set(range(n)) - set(complement)))
     )
-    sides = [s for s in (below, above) if s is not None]
-    if not sides:
-        raise RuntimeError("a feasible k-subset always exists on at least one side of the peak")
+    if below is None and above is None:
+        # the k lightest overflow the capacity and the k heaviest fall short of
+        # it only when each k-subset weighs the capacity to within rounding
+        below, mass = knapsack.lightest(k)
+        if not abs(mass - capacity) <= _MASS_ROUNDING:
+            raise RuntimeError("a feasible k-subset always exists on at least one side of the peak")
     if below is not None and above is not None:
         score_below = score_of_mass(float(pool.probs[list(below)].sum()))
         score_above = score_of_mass(float(pool.probs[list(above)].sum()))
@@ -301,7 +359,7 @@ def _two_sided_knapsack(
             (below, score_below) if score_below > score_above else (above, score_above)
         )
     else:
-        chosen = sides[0]
+        chosen = above if below is None else below
         objective = score_of_mass(float(pool.probs[list(chosen)].sum()))
     return _result(pool, window, chosen, objective, method, started)
 
@@ -350,8 +408,8 @@ def select_binomial(pool: CandidatePool, window: DemandWindow) -> SelectionResul
 _DRAW_BLOCK = 1 << 16
 
 # Largest (pool size)^2 x (frequencies) for which the DFT-CF score keeps a
-# table of per-(outgoing, incoming) factor ratios; larger pools multiply by
-# the incoming factor and the outgoing reciprocal separately.
+# table of per-(outgoing, incoming) factor ratios in Python lists; larger
+# pools score a swap with numpy from a table of factors and reciprocals.
 _PAIR_TABLE_LIMIT = 1 << 16
 
 
@@ -430,11 +488,24 @@ class _DftcfScore(_SwapScore):
     The state holds, per frequency l that WindowKernel.tau evaluates, its
     weight times z_l, the product over members of 1 - p (1 - w_l); the score
     is the real part of their sum plus the frequency-0 weight. A swap
-    multiplies in the incoming factors and divides out the outgoing ones. A
-    factor vanishes only at p = 1/2 on the Nyquist frequency (k odd); the
+    multiplies in the incoming factors and divides out the outgoing ones, in
+    one of two ways:
+
+    - n^2 L <= _PAIR_TABLE_LIMIT (n workers, L frequencies): the terms are a
+      Python list, and each swapped pair multiplies it by a precomputed row
+      of incoming factor over outgoing factor. Python lists beat numpy calls
+      at these sizes: about 3.7 us against 5.5 us per annealing step at
+      n = 20, k = 10.
+    - larger pools: the terms are a numpy vector, and a (2n, L) table stacks
+      the factor rows on the reciprocal rows. try_swap takes the 2 x swaps
+      rows of the move, multiplies them down to one ratio vector and scores
+      the move with one dot product against the terms, O(swaps L) in three
+      numpy calls; accept multiplies the ratio in.
+
+    A factor vanishes only at p = 1/2 on the Nyquist frequency (k odd); the
     rounded root leaves a residue near 1e-16 there, whose powers underflow
     once enough such workers are members, so a swap that removes one
-    rebuilds the terms from scratch instead of dividing.
+    rebuilds the terms from scratch instead of dividing, on either path.
     """
 
     def __init__(self, probs: Sequence[float], window: DemandWindow, members: Sequence[int]):
@@ -459,13 +530,21 @@ class _DftcfScore(_SwapScore):
                 None if inverse is None else [list(map(mul, row, inverse)) for row in self._factors]
                 for inverse in self._inverses
             ]
+        else:
+            # a singular worker's reciprocal row is never read: removing it rebuilds
+            nan_row = [math.nan] * len(self._weights)
+            self._table = np.array(
+                self._factors + [nan_row if row is None else row for row in self._inverses]
+            )
+            # chosen once per instance, so the pair-table step pays no branch
+            self.try_swap, self.accept = self._try_swap_table, self._accept_ratio
         super().__init__(n, members)
 
     def _from_scratch(self, members):
         terms = self._weights
         for i in members:
             terms = list(map(mul, terms, self._factors[i]))
-        return terms
+        return terms if self._pairs is not None else np.array(terms)
 
     def _value(self, terms):
         # the sum and clamp of WindowKernel.tau
@@ -475,8 +554,7 @@ class _DftcfScore(_SwapScore):
         return value if value > 0.0 else 0.0
 
     def try_swap(self, swaps: int, positions: Sequence[int], start: int) -> float:
-        members, outsiders = self.members, self.outsiders
-        pairs, factors, inverses = self._pairs, self._factors, self._inverses
+        members, outsiders, pairs = self.members, self.outsiders, self._pairs
         middle = start + self.swap_cap
         singular = self._singular
         rebuild = False
@@ -489,10 +567,8 @@ class _DftcfScore(_SwapScore):
             o, i = members[j], outsiders[j]
             if o in singular:
                 rebuild = True
-            elif pairs is not None:
-                terms = map(mul, terms, pairs[o][i])
             else:
-                terms = map(mul, map(mul, terms, factors[i]), inverses[o])
+                terms = map(mul, terms, pairs[o][i])
         if rebuild:
             terms = self._from_scratch(outsiders[:swaps] + members[swaps:])
         else:
@@ -500,6 +576,33 @@ class _DftcfScore(_SwapScore):
         value = self._value(terms)
         self._pending = swaps, terms, value
         return value
+
+    def _try_swap_table(self, swaps: int, positions: Sequence[int], start: int) -> float:
+        members, outsiders = self.members, self.outsiders
+        middle = start + self.swap_cap
+        n = len(self._factors)
+        rows = []
+        for j in range(swaps):
+            a, b = positions[start + j], positions[middle + j]
+            members[j], members[a] = members[a], members[j]
+            outsiders[j], outsiders[b] = outsiders[b], outsiders[j]
+            rows += (outsiders[j], n + members[j])
+        if self._singular.isdisjoint(members[:swaps]):
+            ratio = np.multiply.reduce(self._table.take(rows, axis=0))
+            value = self._w0 + float(self._state.dot(ratio).real)
+            value = 1.0 if value > 1.0 else value if value > 0.0 else 0.0
+            self._pending = swaps, ratio, None, value
+        else:
+            terms = self._from_scratch(outsiders[:swaps] + members[swaps:])
+            value = self._value(terms)
+            self._pending = swaps, None, terms, value
+        return value
+
+    def _accept_ratio(self) -> None:
+        swaps, ratio, terms, self.value = self._pending
+        self._state = self._state * ratio if terms is None else terms
+        members, outsiders = self.members, self.outsiders
+        members[:swaps], outsiders[:swaps] = outsiders[:swaps], members[:swaps]
 
 
 _SWAP_SCORES = {"normal": _NormalScore, "dftcf": _DftcfScore}

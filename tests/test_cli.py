@@ -328,10 +328,12 @@ class TestBenchCommand:
               "methods": ["random", "dftcf-sa"], "sa": {"seed": 3}}, "sa: "),
             ({"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
               "methods": ["random", "dftcf-sa"], "sa": {"temp": 3}}, "sa: "),
+            ({"model": "smodel", "n": 6, "trials": 2, "k": [3, 1],
+              "methods": ["exact", "greedy"]}, "'greedy' needs k >= 2"),
         ],
         ids=["missing-n", "scalar-k", "distribution-no-kind", "distribution-number",
              "top-level-list", "demand-zero-denominator", "methods-string", "zero-k",
-             "sa-seed", "sa-unknown-field"],
+             "sa-seed", "sa-unknown-field", "greedy-k-1"],
     )
     def test_config_error_exit_2_before_any_cell(self, capsys, tmp_path, config, field):
         config_path = tmp_path / "config.json"
@@ -443,6 +445,25 @@ GOLDEN_SELECT = [
     (('t', '--method', 'dftcf-sa', '--seed', '3', '--t-ini', '0.5', '--t-end', '0.2', '--sa-r', '2', '--sa-c', '0.5'),
      '{"indices": [0, 1, 3, 5], "method": "dftcf-sa", "objective": 0.7357400000000001, "subset": ["w0", "w1", "w3", "w5"], "tau": 0.7357400000000001}\n'),
 ]
+# Pools past the enumeration limit: 120 two-decimal probabilities, with
+# repeats and p = 1/2 at w47, so that k = 21 anneals on the large-pool DFT-CF
+# path and meets the Nyquist rebuild; the first 38 of them, near the
+# knapsack limit, where many subsets share a mass and rounding decides ties
+GOLDEN_LARGE_PROBS = [((37 * i + 11) % 100) / 100 for i in range(120)]
+GOLDEN_LARGE_SELECT = [
+    ((120, '-k', '21', '--theta1', '8', '--theta0', '8', '--method', 'dftcf-sa', '--seed', '0', '--sa-r', '200'),
+     '{"indices": [5, 8, 16, 18, 21, 24, 32, 35, 40, 43, 51, 54, 59, 70, 78, 81, 86, 89, 97, 113, 116], "method": "dftcf-sa", "objective": 0.9939380701383178, "subset": ["w5", "w8", "w16", "w18", "w21", "w24", "w32", "w35", "w40", "w43", "w51", "w54", "w59", "w70", "w78", "w81", "w86", "w89", "w97", "w113", "w116"], "tau": 0.9939380701383177}\n'),
+    ((120, '-k', '21', '--theta1', '8', '--theta0', '8', '--method', 'dftcf-sa', '--seed', '1', '--sa-r', '200'),
+     '{"indices": [5, 13, 16, 24, 32, 35, 40, 43, 51, 59, 62, 65, 67, 70, 78, 81, 91, 97, 105, 108, 116], "method": "dftcf-sa", "objective": 0.9931036314571831, "subset": ["w5", "w13", "w16", "w24", "w32", "w35", "w40", "w43", "w51", "w59", "w62", "w65", "w67", "w70", "w78", "w81", "w91", "w97", "w105", "w108", "w116"], "tau": 0.993103631457183}\n'),
+    ((38, '-k', '13', '--theta1', '4', '--theta0', '4', '--method', 'poisson', '--seed', '0'),
+     '{"indices": [1, 6, 9, 11, 12, 17, 24, 25, 27, 29, 32, 36, 37], "method": "poisson", "objective": 0.6582545388207287, "subset": ["w1", "w6", "w9", "w11", "w12", "w17", "w24", "w25", "w27", "w29", "w32", "w36", "w37"], "tau": 0.9522794713435987}\n'),
+    ((38, '-k', '13', '--theta1', '4', '--theta0', '4', '--method', 'poisson', '--seed', '1'),
+     '{"indices": [1, 6, 9, 11, 12, 17, 24, 25, 27, 29, 32, 36, 37], "method": "poisson", "objective": 0.6582545388207287, "subset": ["w1", "w6", "w9", "w11", "w12", "w17", "w24", "w25", "w27", "w29", "w32", "w36", "w37"], "tau": 0.9522794713435987}\n'),
+    ((38, '-k', '13', '--theta1', '4', '--theta0', '4', '--method', 'binomial', '--seed', '0'),
+     '{"indices": [2, 3, 4, 6, 9, 11, 12, 13, 14, 20, 24, 30, 32], "method": "binomial", "objective": 0.8382303677888999, "subset": ["w2", "w3", "w4", "w6", "w9", "w11", "w12", "w13", "w14", "w20", "w24", "w30", "w32"], "tau": 0.9494189411373753}\n'),
+    ((38, '-k', '13', '--theta1', '4', '--theta0', '4', '--method', 'binomial', '--seed', '1'),
+     '{"indices": [2, 3, 4, 6, 9, 11, 12, 13, 14, 20, 24, 30, 32], "method": "binomial", "objective": 0.8382303677888999, "subset": ["w2", "w3", "w4", "w6", "w9", "w11", "w12", "w13", "w14", "w20", "w24", "w30", "w32"], "tau": 0.9494189411373753}\n'),
+]
 GOLDEN_S_REPORT = """\
 trial,method,k,theta1,theta0,objective,tau_or_div,status
 0,exact,2,,,0.4808485199161895,0.4808485199161895,ok
@@ -522,3 +543,14 @@ class TestGoldenOutput:
         wall = rows[0].index("wall_time_s")
         text = "".join(",".join(v for i, v in enumerate(r) if i != wall) + "\n" for r in rows)
         assert text == expected
+
+    @pytest.mark.parametrize("case,expected", GOLDEN_LARGE_SELECT)
+    def test_select_large_pool_stdout(self, capsys, tmp_path, case, expected):
+        n, *options = case
+        path = tmp_path / "pool.csv"
+        path.write_text("worker_id,p\n" + "".join(
+            f"w{i},{p}\n" for i, p in enumerate(GOLDEN_LARGE_PROBS[:n])
+        ))
+        code, out, _ = run(capsys, "select", "t", "--pool", str(path), *options)
+        assert code == 0
+        assert out == expected

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,35 @@ class TestPmfDftcf:
         expected[5 if p == 1.0 else 0] = 1.0
         assert mass == pytest.approx(expected, abs=1e-12)
 
+
+    @staticmethod
+    def unblocked(probs):
+        """pmf_dftcf with the whole (n+1) x n factor table formed at once."""
+        p = np.asarray(probs, dtype=float)
+        n = p.size
+        roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+        z = np.prod(1.0 - p[None, :] * (1.0 - roots[:, None]), axis=1)
+        return np.clip((np.fft.fft(z) / (n + 1)).real, 0.0, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 257, 1000, 1500])
+    def test_blocks_match_one_table(self, n):
+        # 2^16 // n rows per block: one block up to n = 255, several with a
+        # short last block above
+        rng = np.random.default_rng(n)
+        for probs in (rng.uniform(0, 1, n), rng.choice([0.0, 0.5, 1.0], n)):
+            assert np.array_equal(pbd.pmf_dftcf(probs), self.unblocked(probs))
+
+    def test_memory_bounded(self):
+        # one (4001 x 4000) complex table would take 256 MB
+        probs = np.random.default_rng(4).uniform(0, 1, 4000)
+        tracemalloc.start()
+        try:
+            mass = pbd.pmf_dftcf(probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        assert abs(mass.sum() - 1.0) <= 1e-9
 
     def test_imaginary_residue_raises(self, monkeypatch):
         fft = np.fft.fft

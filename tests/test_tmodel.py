@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from crowdselect import pbd, tmodel
 from crowdselect.errors import EnumerationLimitError, TimeBudgetError
@@ -139,7 +141,129 @@ class TestExactKnapsack:
                 assert total == pytest.approx(max(feasible), abs=1e-9)
 
 
+# tolerance for rounding in subset masses near the capacity
+KNAPSACK_TOL = 1e-12
+
+knapsack_probs = st.one_of(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+    st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.9, 1.0]), min_size=1, max_size=12),
+)
+
+
+def subset_masses(probs, k):
+    return [math.fsum(probs[i] for i in c) for c in itertools.combinations(range(len(probs)), k)]
+
+
+def check_knapsack_side(mass, masses, capacity):
+    """mass is the heaviest of `masses` within capacity, or None when none fits.
+
+    Masses within KNAPSACK_TOL of the capacity may count on either side.
+    """
+    fits = [m for m in masses if m <= capacity - KNAPSACK_TOL]
+    if mass is None:
+        assert not fits
+    else:
+        assert mass <= capacity + KNAPSACK_TOL
+        assert mass >= max(fits, default=-math.inf) - KNAPSACK_TOL
+
+
+@st.composite
+def knapsack_cases(draw):
+    probs = draw(knapsack_probs)
+    k = draw(st.integers(min_value=0, max_value=len(probs)))
+    sums = subset_masses(probs, k)
+    capacity = draw(st.one_of(
+        st.floats(min_value=-0.5, max_value=len(probs) + 0.5),
+        st.sampled_from(sums),  # a capacity on a subset mass: the tie boundary
+    ))
+    return probs, k, capacity
+
+
+class TestKnapsackProperties:
+    """exact_knapsack and both sides of the Poisson/Binomial pipeline against brute force."""
+
+    @given(knapsack_cases())
+    # budgets capacity - heavy that round below every pairing
+    @example(case=([0.0, 0.0, 0.0, 0.1, 0.1, 0.3, 0.3, 0.3], 6, 0.5))
+    @example(case=([1.0, 0.7, 0.2], 2, 1.9 - 1.0))
+    @example(case=([0.2, 0.8, 0.1, 0.9, 0.3, 0.3, 0.4], 7, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_knapsack_matches_brute_force(self, case):
+        probs, k, capacity = case
+        got = tmodel.exact_knapsack(k, capacity, CandidatePool.from_probs(probs))
+        if got is not None:
+            assert len(got) == len(set(got)) == k
+        mass = None if got is None else math.fsum(probs[i] for i in got)
+        check_knapsack_side(mass, subset_masses(probs, k), capacity)
+
+    @given(knapsack_cases())
+    # budgets capacity - heavy that round below every pairing
+    @example(case=([0.0, 0.0, 0.0, 0.1, 0.1, 0.3, 0.3, 0.3], 6, 0.5))
+    @example(case=([1.0, 0.7, 0.2], 2, 1.9 - 1.0))
+    @example(case=([0.2, 0.8, 0.1, 0.9, 0.3, 0.3, 0.4], 7, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_two_sided_knapsack_matches_brute_force(self, case):
+        probs, k, capacity = case
+        assume(k >= 1)
+        pool = CandidatePool.from_probs(probs)
+        scored = []
+        result = tmodel._two_sided_knapsack(
+            pool, DemandWindow(0, 0, k), capacity, lambda m: scored.append(m) or m, "test"
+        )
+        masses = subset_masses(probs, k)
+        assert len(result.indices) == k
+        assert math.fsum(probs[i] for i in result.indices) == pytest.approx(max(scored), abs=1e-12)
+        # below: the heaviest k-subset within capacity; above: the lightest
+        # k-subset at or over it, the complement of the heaviest (n - k)-subset
+        # within the rest of the mass. A missing side is not scored.
+        below_needed = any(m <= capacity - KNAPSACK_TOL for m in masses)
+        above_needed = any(m >= capacity + KNAPSACK_TOL for m in masses)
+        if len(scored) == 2:
+            below, above = scored
+        else:
+            # one side: the needed one, or either when every mass is within the tolerance
+            assert not (below_needed and above_needed)
+            on_below = below_needed or (not above_needed and scored[0] <= capacity)
+            below, above = (scored[0], None) if on_below else (None, scored[0])
+        check_knapsack_side(below, masses, capacity)
+        check_knapsack_side(None if above is None else -above, [-m for m in masses], -capacity)
+
+    def test_solver_builds_each_half_table_once(self, monkeypatch):
+        built = []
+
+        def counting(weights):
+            built.append(weights.size)
+            return build(weights)
+
+        build = tmodel._subset_sum_tables
+        monkeypatch.setattr(tmodel, "_subset_sum_tables", counting)
+        pool = CandidatePool.from_probs(np.random.default_rng(12).uniform(0, 1, 17))
+        window = DemandWindow(theta1=2, theta0=2, k=6)
+        tmodel.select_poisson(pool, window)
+        assert sorted(built) == [8, 9]
+        built.clear()
+        tmodel.select_binomial(pool, window)
+        assert sorted(built) == [8, 9]
+
+
 class TestSelectPoisson:
+    @pytest.mark.parametrize("solver", [tmodel.select_poisson, tmodel.select_binomial])
+    @pytest.mark.parametrize(
+        "probs,window,expected",
+        [
+            # capacity 1 leaves 1.9 - 1 = 0.8999999999999999 for the complement,
+            # which 0.2 + 0.7 fills to the last bit
+            ((1.0, 0.7, 0.2), DemandWindow(theta1=1, theta0=0, k=1), (0,)),
+            # the whole pool weighs 3 in one summation order and not in another,
+            # so by rounding neither side of capacity 3 holds a k-subset
+            ((0.2, 0.8, 0.1, 0.9, 0.3, 0.3, 0.4), DemandWindow(theta1=3, theta0=4, k=7),
+             tuple(range(7))),
+        ],
+        ids=["complement", "whole-pool"],
+    )
+    def test_subset_mass_on_the_capacity(self, solver, probs, window, expected):
+        assert solver(pool_of(*probs), window).indices == expected
+
     def test_small_pool_example(self):
         pool = pool_of(0.1, 0.5, 0.9)
         result = tmodel.select_poisson(pool, DemandWindow(theta1=1, theta0=0, k=2))
@@ -359,9 +483,17 @@ class TestSwapScore:
     def test_underflowed_nyquist_term_recovers(self):
         # 25 members at p = 1/2 drive the Nyquist product below the smallest
         # double; swapping them out one by one must restore it
-        probs = [0.5] * 25 + [0.05, 0.95] * 12 + [0.05]
+        self.check_nyquist_recovery([0.5] * 25 + [0.05, 0.95] * 12 + [0.05], pairs=True)
+
+    def test_underflowed_nyquist_term_recovers_on_large_pool(self):
+        # 30 more outsiders put the pool past the pair table: the numpy path
+        self.check_nyquist_recovery([0.5] * 25 + [0.05, 0.95] * 12 + [0.05] + [0.3] * 30, pairs=False)
+
+    @staticmethod
+    def check_nyquist_recovery(probs, pairs):
         window = DemandWindow(theta1=3, theta0=12, k=25)
         score = tmodel._DftcfScore(probs, window, range(25))
+        assert (score._pairs is not None) == pairs
         padding = [0] * (score.swap_cap - 1)
         for half, other in zip(range(25), range(25, 50)):
             positions = [score.members.index(half), *padding]
@@ -482,6 +614,6 @@ class TestInvariantChecks:
 
     @pytest.mark.parametrize("solver", [tmodel.select_poisson, tmodel.select_binomial])
     def test_knapsack_solver_without_either_side(self, monkeypatch, solver):
-        monkeypatch.setattr(tmodel, "exact_knapsack", lambda k, capacity, pool: None)
+        monkeypatch.setattr(tmodel._Knapsack, "best", lambda self, k, capacity: None)
         with pytest.raises(RuntimeError, match="feasible k-subset"):
             solver(pool_of(0.2, 0.3, 0.4, 0.6), DemandWindow(1, 1, 2))
