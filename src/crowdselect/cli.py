@@ -38,6 +38,11 @@ def load_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     if not reader:
         raise ValueError(f"{path}: empty matrix file")
     ids = [c.strip() for c in reader[0]]
+    seen: set[str] = set()
+    for worker_id in ids:
+        if worker_id in seen:
+            raise ValueError(f"{path}: header: duplicate worker id {worker_id!r}")
+        seen.add(worker_id)
     n = len(ids)
     if len(reader) != n + 1:
         raise ValueError(f"{path}: expected {n} data rows after the header, got {len(reader) - 1}")

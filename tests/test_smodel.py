@@ -1,9 +1,10 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdselect import smodel
@@ -131,6 +132,134 @@ class TestExactSelect:
         sim = np.zeros((5, 5))  # every crowd ties at diversity 0
         assert smodel.exact_select(sim, 3) == (0, 1, 2)
 
+    def test_budget_checked_within_the_search(self):
+        # nothing prunes on a zero matrix, so this would visit all C(25, 12) crowds
+        started = time.perf_counter()
+        with pytest.raises(TimeBudgetError):
+            smodel.exact_select(np.zeros((25, 25)), 12, time_budget_s=0.05)
+        assert time.perf_counter() - started < 1.0
+
+
+def brute_force_exact(sim: np.ndarray, k: int) -> tuple[tuple[int, ...] | None, float]:
+    """Best sum_objective over itertools.combinations; the first such crowd wins ties.
+
+    A NaN objective compares False, so it never wins.
+    """
+    best, best_score = None, -math.inf
+    for crowd in itertools.combinations(range(len(sim)), k):
+        score = smodel.sum_objective(crowd, sim)
+        if score > best_score:
+            best, best_score = crowd, score
+    return best, best_score
+
+
+@st.composite
+def selection_cases(draw):
+    """(kind, matrix, k): tie-heavy integers, all-equal entries or mixed-sign floats."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    kind = draw(st.sampled_from(["ties", "equal", "floats"]))
+    if kind == "ties":
+        entries = st.integers(min_value=-2, max_value=2).map(float)
+    else:
+        entries = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
+    if kind == "equal":
+        sim = np.full((n, n), draw(entries))
+    else:
+        upper = np.triu(np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+                        .reshape(n, n))
+        sim = upper + np.triu(upper, 1).T
+    return kind, sim, draw(st.integers(min_value=1, max_value=n))
+
+
+@st.composite
+def asymmetric_cases(draw):
+    """(matrix, k): sparse upper triangle, lower triangle off its mirror by up to 0.9e-9.
+
+    Upper entries are small multiples of 2^-20, so their sums are exact and
+    smaller than the rounding slack would forgive the asymmetry.
+    """
+    n = draw(st.integers(min_value=3, max_value=8))
+    # mostly zeros, so that bounds are tight and the asymmetry decides pruning
+    steps = draw(st.lists(st.sampled_from([0, 0, 0, 0, -1, 1, -2, 2]),
+                          min_size=n * n, max_size=n * n))
+    upper = np.triu(np.array(steps, dtype=float).reshape(n, n) * 2.0**-20, 1)
+    skew = draw(st.lists(st.sampled_from([-0.9e-9, 0.0, 0.9e-9]), min_size=n * n, max_size=n * n))
+    sim = upper + upper.T + np.tril(np.array(skew).reshape(n, n), -1)
+    return sim, draw(st.integers(min_value=1, max_value=n))
+
+
+def upper_triangle_reference(sim: np.ndarray, k: int) -> tuple[int, ...]:
+    """First crowd of itertools.combinations with the least sum of sim[i, j], i < j."""
+    return min(
+        itertools.combinations(range(len(sim)), k),
+        key=lambda c: sum(sim[i, j] for i, j in itertools.combinations(c, 2)),
+    )
+
+
+def worked_asymmetric_matrix() -> np.ndarray:
+    # upper entries 0 except (4, 5), every other lower entry -0.9e-9: the
+    # mirrored sums of a greedy crowd sit C(k,2) * 0.9e-9 below its true sum
+    sim = np.tril(np.full((6, 6), -0.9e-9), -1)
+    sim[4, 5] = sim[5, 4] = -1e-6
+    return sim
+
+
+class TestExactAgainstBruteForce:
+    @given(selection_cases())
+    @example(("ties", make_matrix({(0, 1): 2.0, (1, 2): -1.0, (0, 3): -2.0}, 5), 1))
+    @example(("ties", make_matrix({(0, 1): 2.0, (1, 2): -1.0, (0, 3): -2.0}, 5), 5))
+    @example(("equal", np.zeros((8, 8)), 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_enumeration(self, case):
+        kind, sim, k = case
+        pick = smodel.exact_select(sim, k)
+        best, best_score = brute_force_exact(sim, k)
+        if kind != "floats":
+            # integer sums are exact in any order, so ties are real ties
+            assert pick == best
+            return
+        # float sums round differently in the two searches: the pick must be
+        # optimal to rounding, and the reference's crowd where it wins clearly
+        tol = 1e-9
+        assert smodel.sum_objective(pick, sim) >= best_score - tol
+        runner_up = max(
+            (smodel.sum_objective(c, sim)
+             for c in itertools.combinations(range(len(sim)), k) if c != best),
+            default=-math.inf,
+        )
+        if runner_up < best_score - tol:
+            assert pick == best
+
+    @given(asymmetric_cases())
+    @example((worked_asymmetric_matrix(), 4))
+    @settings(max_examples=100, deadline=None)
+    def test_asymmetric_within_tolerance_scores_upper_triangle(self, case):
+        sim, k = case
+        assert smodel.exact_select(sim, k) == upper_triangle_reference(sim, k)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_to_nan_neither_prunes_nor_wins(self):
+        # Workers 0-2 are near the float limit with everyone: 0 and 2, and 1
+        # and 2, at -1e308, all their other pairs at +1e308. From four members
+        # on, every crowd with one of them sums to at least 2e308, but the
+        # prefix (0, 1, 2) reaches 1e308 + (-inf) = -inf, and each of its
+        # crowds -inf + inf = NaN.
+        n = 8
+        sim = np.zeros((n, n))
+        sim[:3, :] = sim[:, :3] = 1e308
+        sim[0, 2] = sim[2, 0] = sim[1, 2] = sim[2, 1] = -1e308
+        rng = np.random.default_rng(8)
+        small = np.triu(rng.integers(-2, 3, size=(n - 3, n - 3)).astype(float), 1)
+        sim[3:, 3:] = small + small.T
+        for k in range(4, n + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                best, best_score = brute_force_exact(sim, k)
+            if best is None:
+                with pytest.raises(ValueError, match="too large"):
+                    smodel.exact_select(sim, k)
+            else:
+                assert smodel.exact_select(sim, k) == best
+
 
 class TestGreedySelect:
     def test_k2_returns_least_similar_pair(self):
@@ -236,29 +365,6 @@ class TestNonFiniteMatrices:
         sim = np.full((4, 4), 1e308)
         with pytest.raises(ValueError, match="too large"):
             solver(sim, 3)
-
-
-class TestComboCache:
-    def test_alternating_keys_reuse_arrays(self, monkeypatch):
-        monkeypatch.setattr(smodel, "_combo_cache", {})
-        first = next(smodel._index_combo_blocks(10, 4))
-        second = next(smodel._index_combo_blocks(12, 5))
-        for _ in range(3):
-            assert next(smodel._index_combo_blocks(10, 4)).base is first.base
-            assert next(smodel._index_combo_blocks(12, 5)).base is second.base
-        assert len(smodel._combo_cache) == 2
-
-    def test_evicts_least_recently_used(self, monkeypatch):
-        monkeypatch.setattr(smodel, "_combo_cache", {})
-        sizes = {key: math.comb(*key) * key[1] * 2 for key in [(10, 4), (12, 5), (11, 3)]}
-        # room for the two largest entries, not for all three
-        budget = sizes[(12, 5)] + sizes[(10, 4)]
-        monkeypatch.setattr(smodel, "_CACHE_BYTES", budget)
-        for key in [(10, 4), (12, 5), (10, 4), (11, 3)]:
-            list(smodel._index_combo_blocks(*key))
-            assert sum(a.nbytes for a in smodel._combo_cache.values()) <= budget
-        # (12, 5) was used least recently, so it made room for (11, 3)
-        assert list(smodel._combo_cache) == [(10, 4), (11, 3)]
 
 
 class TestSubmodularity:

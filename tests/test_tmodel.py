@@ -93,6 +93,29 @@ class TestExactSelect:
             tmodel.exact_select(pool, DemandWindow(3, 3, 12), time_budget_s=0.0)
 
 
+class TestComboCache:
+    def test_alternating_keys_reuse_arrays(self, monkeypatch):
+        monkeypatch.setattr(tmodel, "_combo_cache", {})
+        first = next(tmodel._index_combo_blocks(10, 4))
+        second = next(tmodel._index_combo_blocks(12, 5))
+        for _ in range(3):
+            assert next(tmodel._index_combo_blocks(10, 4)).base is first.base
+            assert next(tmodel._index_combo_blocks(12, 5)).base is second.base
+        assert len(tmodel._combo_cache) == 2
+
+    def test_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(tmodel, "_combo_cache", {})
+        sizes = {key: math.comb(*key) * key[1] * 2 for key in [(10, 4), (12, 5), (11, 3)]}
+        # room for the two largest entries, not for all three
+        budget = sizes[(12, 5)] + sizes[(10, 4)]
+        monkeypatch.setattr(tmodel, "_CACHE_BYTES", budget)
+        for key in [(10, 4), (12, 5), (10, 4), (11, 3)]:
+            list(tmodel._index_combo_blocks(*key))
+            assert sum(a.nbytes for a in tmodel._combo_cache.values()) <= budget
+        # (12, 5) was used least recently, so it made room for (11, 3)
+        assert list(tmodel._combo_cache) == [(10, 4), (11, 3)]
+
+
 class TestExactKnapsack:
     def test_mid_capacity(self):
         assert tmodel.exact_knapsack(2, 1.0, pool_of(0.2, 0.3, 0.4, 0.6)) == (2, 3)
