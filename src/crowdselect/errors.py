@@ -18,7 +18,7 @@ class TimeBudgetError(RuntimeError):
 
     def __init__(self, budget_s: float, elapsed_s: float):
         super().__init__(
-            f"exceeded time budget of {budget_s:.1f}s after {elapsed_s:.1f}s"
+            f"exceeded time budget of {budget_s:g}s after {elapsed_s:g}s"
         )
         self.budget_s = budget_s
         self.elapsed_s = elapsed_s

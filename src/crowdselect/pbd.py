@@ -211,13 +211,20 @@ class WindowKernel:
         return min(1.0, max(0.0, acc))
 
     def tau_many(self, prob_matrix: np.ndarray) -> np.ndarray:
-        """Exact window probabilities for a batch of subsets, one row each."""
+        """Exact window probabilities for a batch of subsets, one row each.
+
+        Every frequency's factors 1 - p(1 - root) are formed in one reused
+        (m, k) complex buffer, so the batch needs no other array of that size.
+        """
         mat = np.asarray(prob_matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[1] != self.window.k:
             raise ValueError(f"expected a (m, {self.window.k}) probability matrix")
         acc = np.zeros(mat.shape[0], dtype=complex)
+        factors = np.empty(mat.shape, dtype=complex)
         for root, weight in zip(self._roots, self._weights):
-            acc += weight * np.prod(1.0 - mat * (1.0 - root), axis=1)
+            np.multiply(mat, 1.0 - root, out=factors)
+            np.subtract(1.0, factors, out=factors)
+            acc += weight * np.prod(factors, axis=1)
         return np.clip(acc.real, 0.0, 1.0)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 SMOOTHING = 1e-10
 RELEVANCE_SENTINEL = 1e12
@@ -179,6 +178,28 @@ def _smooth_rows(mat: np.ndarray) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along axis, computed without overflow.
+
+    The arithmetic of scipy.special.logsumexp (Blanchard, Higham and Higham
+    2021, "Accurately computing the log-sum-exp and softmax functions"):
+    with M the largest entry, m the number of entries equal to it and s the
+    sum of exp(a - M) over the others, the result is
+    log1p(s / m) + log(m) + M. A non-finite maximum is the result itself:
+    -inf where every entry is -inf, +inf where one is, NaN where one is NaN.
+    """
+    top = np.max(a, axis=axis, keepdims=True)
+    is_top = a == top
+    count = is_top.sum(axis=axis, keepdims=True)
+    # a non-finite maximum makes inf - inf, 0 / 0 or log(0) here; such rows
+    # are replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=axis, keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + top
+    out = np.where(np.isfinite(top), out, top)
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
 def em_fit(
     experiences: Sequence[Experience],
     n_topics: int,
@@ -212,7 +233,7 @@ def em_fit(
     previous = -math.inf
     for _ in range(max_iter):
         log_joint = counts @ np.log(mu).T + np.log(pi)  # (collections, topics)
-        log_evidence = logsumexp(log_joint, axis=1)
+        log_evidence = _logsumexp(log_joint, axis=1)
         posteriors = np.exp(log_joint - log_evidence[:, None])
 
         pi = posteriors.mean(axis=0)
@@ -227,7 +248,7 @@ def em_fit(
 
     # objective at the final parameters, so the trace covers the last M-step
     final = float(
-        logsumexp(counts @ np.log(mu).T + np.log(pi), axis=1).sum()
+        _logsumexp(counts @ np.log(mu).T + np.log(pi), axis=1).sum()
     )
     trace.append(final)
     return TopicModel(pi=pi, mu=mu, vocab=vocab, log_likelihood_trace=tuple(trace))
@@ -238,7 +259,7 @@ def _posteriors(counts: np.ndarray, model: TopicModel) -> np.ndarray:
     # a zero probability makes NaN rows (0 * log 0), which callers reject
     with np.errstate(divide="ignore", invalid="ignore"):
         log_joint = counts @ np.log(model.mu).T + np.log(model.pi)
-    return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
+    return np.exp(log_joint - _logsumexp(log_joint, axis=1, keepdims=True))
 
 
 def topic_posterior(experience: Experience, model: TopicModel) -> np.ndarray:
@@ -261,7 +282,9 @@ def kl_divergence(
             raise ValueError("distributions must sum to 1 within 1e-6")
     pa = (pa + eps) / (pa + eps).sum()
     qa = (qa + eps) / (qa + eps).sum()
-    return float((pa * np.log(pa / qa)).sum())
+    # KL is non-negative, but rounding leaves about -1e-16 for near-equal
+    # inputs; np.maximum clamps that and still passes NaN through
+    return float(np.maximum((pa * np.log(pa / qa)).sum(), 0.0))
 
 
 def experience_similarity_matrix(

@@ -253,13 +253,16 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
     # (seeds, n) work arrays of about 512 KB keep every step's passes in cache;
     # 32 MB arrays made n = 300 three to four times slower on a 2 MB-L2 core
     chunk = max(1, (1 << 16) // n)
-    # entries near the float limit overflow to inf, reported below
-    with np.errstate(over="ignore"):
+    # entries near the float limit overflow to +-inf, and to NaN where both
+    # meet; a NaN crowd never wins, as in exact_select, and if no crowd is
+    # comparable that is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, rows.size, chunk):
             members, pair_sum = _greedy_complete(
                 matrix, rows[start : start + chunk], cols[start : start + chunk], k
             )
             div = -pair_sum / k
+            div[np.isnan(div)] = -np.inf
             top = int(np.argmax(div))
             if div[top] > best_div:
                 best_div = float(div[top])

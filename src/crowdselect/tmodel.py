@@ -134,9 +134,10 @@ def _check_feasible(pool: CandidatePool, window: DemandWindow) -> None:
         raise ValueError(f"cannot select k = {window.k} from {len(pool)} candidates")
 
 
-# Combination blocks of exact enumeration: rows per block, and the memory the
-# cached enumerations may hold together.
-_CHUNK = 1 << 18
+# Entries per work array of exact enumeration and of the knapsack tables'
+# subset sums: a (rows, k) block holds about this many, 1 MB as complex values.
+_WORK_ENTRIES = 1 << 16
+# Memory the cached enumerations may hold together.
 _CACHE_BYTES = 64 << 20
 # least recently used first; the arrays together stay within _CACHE_BYTES
 _combo_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -145,12 +146,14 @@ _combo_cache: dict[tuple[int, int], np.ndarray] = {}
 def _index_combo_blocks(n: int, k: int) -> Iterator[np.ndarray]:
     """Yield (m, k) index arrays covering all combinations in lexicographic order.
 
-    Small enumerations are materialized once and cached, because benchmark
-    loops re-enumerate the same few (n, k) for every trial, often alternating
-    between them. The cache holds several entries within _CACHE_BYTES in
-    total and evicts the least recently used.
+    Each block holds about _WORK_ENTRIES indices. Small enumerations are
+    materialized once and cached, because benchmark loops re-enumerate the
+    same few (n, k) for every trial, often alternating between them. The cache
+    holds several entries within _CACHE_BYTES in total and evicts the least
+    recently used.
     """
     key = (n, k)
+    rows = max(1, _WORK_ENTRIES // k)
     cached = _combo_cache.pop(key, None)
     if cached is None:
         total = math.comb(n, k)
@@ -168,13 +171,13 @@ def _index_combo_blocks(n: int, k: int) -> Iterator[np.ndarray]:
         else:
             source = itertools.combinations(range(n), k)
             while True:
-                block = list(itertools.islice(source, _CHUNK))
+                block = list(itertools.islice(source, rows))
                 if not block:
                     return
                 yield np.asarray(block, dtype=np.int16)
     _combo_cache[key] = cached
-    for start in range(0, len(cached), _CHUNK):
-        yield cached[start : start + _CHUNK]
+    for start in range(0, len(cached), rows):
+        yield cached[start : start + rows]
 
 
 def exact_select(
@@ -185,7 +188,8 @@ def exact_select(
     """Optimal subset by enumerating every size-k candidate set.
 
     Ties resolve to the first subset in lexicographic index order. Guarded by
-    the enumeration limit and an optional wall-clock budget.
+    the enumeration limit and an optional wall-clock budget, checked after
+    each block of about _WORK_ENTRIES indices.
     """
     started = time.perf_counter()
     _check_feasible(pool, window)
@@ -231,11 +235,14 @@ def _subset_sum_tables(
     sizes = concat(sizes, sizes + 1), and one stable sort by (size, sum)
     splits the codes into the per-size tables, ties in code order. Each sum
     is the BLAS dot product of the code's 0/1 row with the weights, in blocks
-    of 2^18 codes. The doubling sum, sums = concat(sums, sums + w), would be
-    some thirty times cheaper, but it adds in index order and BLAS does not,
-    so the two differ in the last bit. On pools of round probabilities many
-    subsets share a mass, and that bit decides which of them a knapsack
-    query returns.
+    of at most _WORK_ENTRIES bits, so the float copy of a block stays small.
+    A block's row count is a power of two, as when one block held a whole
+    table: OpenBLAS sums the last (rows mod 4) rows of a product by another
+    kernel, which rounds some of them differently. The doubling sum,
+    sums = concat(sums, sums + w), would be some thirty times cheaper, but it
+    adds in index order and BLAS does not, so the two differ in the last bit.
+    On pools of round probabilities many subsets share a mass, and that bit
+    decides which of them a knapsack query returns.
     """
     m = weights.size
     total = 1 << m
@@ -243,7 +250,7 @@ def _subset_sum_tables(
     for _ in range(m):
         sizes = np.concatenate((sizes, sizes + 1))
     sums = np.empty(total)
-    chunk = 1 << 18
+    chunk = 1 << ((_WORK_ENTRIES // max(1, m)).bit_length() - 1)
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype="<u4")
         octets = codes.view(np.uint8).reshape(-1, 4)

@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from crowdselect import profiles, smodel
 from crowdselect.profiles import Experience, TopicModel, WorkerProfile
@@ -199,21 +203,66 @@ class TestKlDivergence:
         assert math.isfinite(value) and value > 0
 
     @given(
-        st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=6),
-        st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_non_negative(self, raw, data):
-        other = data.draw(
-            st.lists(
-                st.floats(min_value=0.01, max_value=1.0),
-                min_size=len(raw),
-                max_size=len(raw),
-            )
+        st.integers(min_value=2, max_value=6).flatmap(
+            lambda size: st.tuples(*[
+                st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=size, max_size=size)
+            ] * 2)
         )
+    )
+    # near-equal distributions, whose unclamped divergence rounds to -1.1e-16
+    @example(pair=([0.010000000000000002, 0.01], [0.01, 0.01]))
+    @settings(max_examples=60, deadline=None)
+    def test_non_negative(self, pair):
+        raw, other = pair
         p = np.asarray(raw) / np.sum(raw)
         q = np.asarray(other) / np.sum(other)
         assert profiles.kl_divergence(p, q) >= 0.0
+
+
+class TestLogsumexp:
+    @staticmethod
+    def rows() -> np.ndarray:
+        a = np.random.default_rng(5).normal(0.0, 30.0, size=(40, 6))
+        a[5:10, 2] = -np.inf  # some -inf entries
+        a[10] = -np.inf  # every entry -inf
+        a[11, 3] = np.nan
+        a[12, 1] = np.inf
+        a[13, :3] = a[13].max()  # a tied maximum
+        a[14] = 700.0  # exp would overflow without the shift
+        return a
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_scipy(self, axis, keepdims):
+        a = self.rows()
+        got = profiles._logsumexp(a, axis=axis, keepdims=keepdims)
+        expected = special.logsumexp(a, axis=axis, keepdims=keepdims)
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_special_rows(self):
+        got = profiles._logsumexp(self.rows(), axis=1)
+        assert got[10] == -np.inf
+        assert np.isnan(got[11])
+        assert got[12] == np.inf
+        assert got[14] == pytest.approx(700.0 + math.log(6), rel=1e-15)
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test dependency only; no module of the package may load it
+    src = Path(profiles.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import crowdselect, crowdselect.cli, crowdselect.profiles\n"
+        "import crowdselect.smodel, crowdselect.tmodel, crowdselect.bench\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, cwd=src,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestExperienceSimilarityMatrix:

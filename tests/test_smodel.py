@@ -204,6 +204,24 @@ def worked_asymmetric_matrix() -> np.ndarray:
     return sim
 
 
+def overflowing_matrix() -> np.ndarray:
+    """Eight workers whose crowds overflow to NaN unless drawn from workers 3-7.
+
+    Workers 0-2 are near the float limit with everyone: 0 and 2, and 1 and 2,
+    at -1e308, all their other pairs at +1e308. From four members on, every
+    crowd with one of them sums to at least 2e308, but the prefix (0, 1, 2)
+    reaches 1e308 + (-inf) = -inf, and each of its crowds -inf + inf = NaN.
+    """
+    n = 8
+    sim = np.zeros((n, n))
+    sim[:3, :] = sim[:, :3] = 1e308
+    sim[0, 2] = sim[2, 0] = sim[1, 2] = sim[2, 1] = -1e308
+    rng = np.random.default_rng(8)
+    small = np.triu(rng.integers(-2, 3, size=(n - 3, n - 3)).astype(float), 1)
+    sim[3:, 3:] = small + small.T
+    return sim
+
+
 class TestExactAgainstBruteForce:
     @given(selection_cases())
     @example(("ties", make_matrix({(0, 1): 2.0, (1, 2): -1.0, (0, 3): -2.0}, 5), 1))
@@ -239,18 +257,8 @@ class TestExactAgainstBruteForce:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_to_nan_neither_prunes_nor_wins(self):
-        # Workers 0-2 are near the float limit with everyone: 0 and 2, and 1
-        # and 2, at -1e308, all their other pairs at +1e308. From four members
-        # on, every crowd with one of them sums to at least 2e308, but the
-        # prefix (0, 1, 2) reaches 1e308 + (-inf) = -inf, and each of its
-        # crowds -inf + inf = NaN.
-        n = 8
-        sim = np.zeros((n, n))
-        sim[:3, :] = sim[:, :3] = 1e308
-        sim[0, 2] = sim[2, 0] = sim[1, 2] = sim[2, 1] = -1e308
-        rng = np.random.default_rng(8)
-        small = np.triu(rng.integers(-2, 3, size=(n - 3, n - 3)).astype(float), 1)
-        sim[3:, 3:] = small + small.T
+        sim = overflowing_matrix()
+        n = len(sim)
         for k in range(4, n + 1):
             with np.errstate(over="ignore", invalid="ignore"):
                 best, best_score = brute_force_exact(sim, k)
@@ -296,6 +304,16 @@ class TestGreedySelect:
             greedy_scores.append(smodel.diversity(smodel.greedy_select(sim, 4), sim))
             exact_scores.append(smodel.diversity(smodel.exact_select(sim, 4), sim))
         assert np.mean(greedy_scores) >= 0.95 * np.mean(exact_scores)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_nan_crowds_never_win(self, k):
+        # seed chunks holding a NaN crowd must still offer their finite crowds
+        sim = overflowing_matrix()
+        crowd = smodel.greedy_select(sim, k)
+        assert len(crowd) == k
+        assert set(crowd) <= set(range(3, 8))
+        assert math.isfinite(smodel.diversity(crowd, sim))
 
     def test_beats_random_in_expectation(self):
         rng = np.random.default_rng(202)

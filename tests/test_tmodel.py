@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,50 @@ class TestKnapsackProperties:
         built.clear()
         tmodel.select_binomial(pool, window)
         assert sorted(built) == [8, 9]
+
+
+    @pytest.mark.parametrize("half", range(12, 20))
+    def test_table_sums_independent_of_block_size(self, monkeypatch, half):
+        # round probabilities share masses, and the last bit of a sum decides
+        # which subset a query returns, so blocking must not change any bit
+        rng = np.random.default_rng(half)
+        weights = np.sort(np.round(rng.uniform(0, 1, half), int(rng.integers(1, 3))))
+        tables = []
+        for entries in (1 << 10, tmodel._WORK_ENTRIES, 1 << 30):
+            monkeypatch.setattr(tmodel, "_WORK_ENTRIES", entries)
+            tables.append(tmodel._subset_sum_tables(weights))
+        whole = tables[-1]  # one block per table
+        for blocked in tables[:-1]:
+            assert blocked.keys() == whole.keys()
+            for size, (sums, codes) in whole.items():
+                assert np.array_equal(blocked[size][0], sums)
+                assert np.array_equal(blocked[size][1], codes)
+
+
+def traced_peak_mb(call) -> float:
+    """Peak of memory traced by tracemalloc (numpy arrays included) during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkMemory:
+    """Work arrays stay near _WORK_ENTRIES entries, whatever the enumeration size."""
+
+    def test_exact_select_peak(self):
+        pool = CandidatePool.from_probs(np.random.default_rng(20).uniform(0, 1, 20))
+        window = DemandWindow(theta1=3, theta0=3, k=10)
+        tmodel.exact_select(pool, window)  # the cached combinations are not work memory
+        assert traced_peak_mb(lambda: tmodel.exact_select(pool, window)) <= 8
+
+    def test_knapsack_solver_peak(self):
+        # half-pools of 19 workers: 2^19 subset sums per table
+        pool = CandidatePool.from_probs(np.random.default_rng(38).uniform(0, 1, 38))
+        window = DemandWindow(theta1=4, theta0=4, k=13)
+        assert traced_peak_mb(lambda: tmodel.select_poisson(pool, window)) <= 32
 
 
 class TestSelectPoisson:
