@@ -31,10 +31,18 @@ def _parse_probs(text: str) -> np.ndarray:
     return pbd.as_prob_array(values)
 
 
+def _read_csv(path) -> list[list[str]]:
+    """Every row of a CSV file; a file the csv module cannot parse is a ValueError."""
+    with open(path, newline="") as handle:
+        try:
+            return list(csv.reader(handle))
+        except csv.Error as err:  # e.g. a field over the module's size limit
+            raise ValueError(f"{path}: malformed CSV: {err}") from None
+
+
 def load_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     """Similarity matrix file: a header row of worker ids, then an n x n block."""
-    with open(path, newline="") as handle:
-        reader = list(csv.reader(handle))
+    reader = _read_csv(path)
     if not reader:
         raise ValueError(f"{path}: empty matrix file")
     ids = [c.strip() for c in reader[0]]
@@ -63,8 +71,7 @@ def load_matrix_csv(path) -> tuple[list[str], np.ndarray]:
 
 def load_pool_csv(path) -> tmodel.CandidatePool:
     """Worker pool file: header worker_id,p then one worker per row."""
-    with open(path, newline="") as handle:
-        reader = list(csv.reader(handle))
+    reader = _read_csv(path)
     if not reader or [c.strip() for c in reader[0]] != ["worker_id", "p"]:
         raise ValueError(f"{path}: expected header 'worker_id,p'")
     ids: list[str] = []

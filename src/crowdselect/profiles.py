@@ -65,6 +65,9 @@ class Experience:
     counts: Mapping[str, int]
 
     def __post_init__(self):
+        # NaN fails every comparison, so it is rejected by name
+        if any(not math.isfinite(c) for c in self.counts.values()):
+            raise ValueError("word counts must be finite")
         if any(c < 0 for c in self.counts.values()):
             raise ValueError("word counts must be non-negative")
 
@@ -99,6 +102,8 @@ class TopicModel:
             raise ValueError("pi must be a vector and mu a matrix")
         if mu.shape != (pi.size, len(self.vocab)):
             raise ValueError("mu must be (topics, vocabulary) shaped")
+        if not (np.all(np.isfinite(pi)) and np.all(np.isfinite(mu))):
+            raise ValueError("mixture parameters must be finite")
         if np.any(pi < 0) or np.any(mu < 0):
             raise ValueError("mixture parameters must be non-negative")
         if abs(pi.sum() - 1.0) > 1e-9:
@@ -276,6 +281,8 @@ def kl_divergence(
     if pa.shape != qa.shape or pa.ndim != 1:
         raise ValueError("distributions must be 1-d with equal length")
     for arr in (pa, qa):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("distributions must be finite")
         if np.any(arr < 0.0):
             raise ValueError("distributions must be non-negative")
         if abs(float(arr.sum()) - 1.0) > 1e-6:

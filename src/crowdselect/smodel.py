@@ -86,19 +86,32 @@ def sum_objective(members: Iterable[int], sim) -> float:
 
 
 def _greedy_complete(
-    matrix: np.ndarray, s0: np.ndarray, s1: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
+    matrix: np.ndarray,
+    s0: np.ndarray,
+    s1: np.ndarray,
+    k: int,
+    floor: np.ndarray | None = None,
+    limit: float = math.inf,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy completion of each seed pair (s0[i], s1[i]) to k members.
 
     Each step adds the worker with the least similarity mass to the crowd so
     far, which maximizes the resulting diversity; ties go to the smallest
-    index. Returns the (seeds, k) members in order of addition and each
-    crowd's pair sum.
+    index. Returns the (seeds, k) members in order of addition, each crowd's
+    pair sum and the positions in s0 of the seeds those rows belong to.
+
+    With a floor (see _completion_floor), a seed is dropped once a lower
+    bound on its finished pair sum exceeds limit: with r members still to
+    add, the pair sum so far, plus r times this step's least mass, plus
+    floor[r]. A NaN bound keeps its seed. Dropping changes no surviving
+    row's arithmetic, so every pair sum is the one a full run computes.
     """
     count = s0.size
     idx = np.arange(count)
+    seeds = np.arange(count)
     # marginal[s, w] = similarity mass w would add to seed s's crowd
-    marginal = matrix[s0] + matrix[s1]
+    marginal = matrix[s0]
+    marginal += matrix[s1]
     pair_sum = matrix[s0, s1].astype(float)
     # a member's margin is +inf so argmin never picks it again; adding
     # finite rows keeps it +inf, which is why the matrix must be finite
@@ -109,11 +122,55 @@ def _greedy_complete(
     members[:, 1] = s1
     for step in range(2, k):
         w = marginal.argmin(axis=1)
-        pair_sum += marginal[idx, w]
+        margin = marginal[idx, w]
+        remaining = k - step
+        if floor is not None and remaining > 1:
+            keep = ~(pair_sum + remaining * margin + floor[remaining] > limit)
+            dropped = keep.size - np.count_nonzero(keep)
+            # copying the survivors costs about one pass over marginal and
+            # each later step two or three, so seeds go once a quarter can
+            if 4 * dropped >= keep.size:
+                seeds, w, margin = seeds[keep], w[keep], margin[keep]
+                marginal, pair_sum, members = marginal[keep], pair_sum[keep], members[keep]
+                idx = idx[: seeds.size]
+        pair_sum += margin
         members[:, step] = w
-        marginal += matrix[w]
-        marginal[idx, w] = np.inf
-    return members, pair_sum
+        if step < k - 1:
+            marginal += matrix[w]
+            marginal[idx, w] = np.inf
+    return members, pair_sum, seeds
+
+
+def _completion_floor(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bounds on what the workers that complete a crowd to k can add.
+
+    Entries are taken as min(sim[i, j], sim[j, i]), so the bounds hold for
+    either triangle of a matrix that is symmetric only within tolerance.
+    Returns (low, floor):
+    - low[w], the sum of the k-2 smallest entries of row w off the diagonal,
+      bounds the mass of any k-2 other workers to w;
+    - floor[r], for r up to k-2, bounds the pair sum of any r workers: each
+      has r-1 partners, whose entries in its row are at least its r-1
+      smallest, so the sum is at least the r smallest of half those row sums.
+    Rows are scanned in blocks of about _WORK_ENTRIES entries.
+    """
+    n = matrix.shape[0]
+    depth = k - 2
+    smallest = np.zeros((n, depth + 1))
+    if depth:
+        rows = max(1, _WORK_ENTRIES // n)
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            block = np.minimum(matrix[lo:hi], matrix[:, lo:hi].T)
+            block[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            block.partition(depth - 1, axis=1)
+            part = np.sort(block[:, :depth], axis=1)
+            np.cumsum(part, axis=1, out=smallest[lo:hi, 1:])
+    floor = np.zeros(max(k - 1, 2))
+    for r in range(2, k - 1):
+        half = smallest[:, r - 1] / 2.0
+        floor[r] = np.partition(half, r - 1)[:r].sum()
+    return smallest[:, depth], floor
 
 
 def exact_select(sim, k: int, time_budget_s: float | None = None) -> tuple[int, ...]:
@@ -126,7 +183,8 @@ def exact_select(sim, k: int, time_budget_s: float | None = None) -> tuple[int, 
     slack, the least pair sum seen so far: that of the best crowd found, or
     of one greedy crowd computed first. With r members still to add, the
     bound is the child's pair sum, plus the r smallest masses among later
-    workers, plus the r(r-1)/2 smallest entries of the matrix. Where nothing
+    workers, plus a floor on the pair sum of any r workers, the one greedy
+    selection also uses (see _completion_floor). Where nothing
     prunes (an all-equal matrix, say) the search visits every crowd, so it
     is guarded by ENUMERATION_LIMIT like full enumeration; the optional
     wall-clock budget is checked after each chunk of at most about 2^16
@@ -165,22 +223,19 @@ def _prefix_search(
     n = matrix.shape[0]
     cols = np.arange(n)
     chunk = max(1, _WORK_ENTRIES // n)
-    # floor[r]: no r workers have a pair sum below the r(r-1)/2 smallest entries
+    # floor[r], for r up to k - 1, bounds the pair sum of any r workers
     floor = np.zeros(k)
     # below three members nothing prunes, so no first bound is needed
     incumbent = math.inf
     if k >= 3:
-        most = (k - 1) * (k - 2) // 2
+        _, floor = _completion_floor(matrix, k + 1)
         pair_i, pair_j = np.triu_indices(n, 1)
         upper = matrix[pair_i, pair_j]
-        smallest = np.cumsum(np.sort(np.partition(upper, most - 1)[:most]))
-        r = np.arange(2, k)
-        floor[2:] = smallest[r * (r - 1) // 2 - 1]
         # first bound: one greedy crowd grown from the least-similar pair, in
         # O(n^2 + k n); scored from the upper triangle, as the search scores
         # crowds, since the matrix may be asymmetric within tolerance
         low = int(np.argmin(upper))
-        members, _ = _greedy_complete(matrix, pair_i[low : low + 1], pair_j[low : low + 1], k)
+        members, _, _ = _greedy_complete(matrix, pair_i[low : low + 1], pair_j[low : low + 1], k)
         crowd = np.sort(members[0])
         incumbent = float(np.triu(matrix[np.ix_(crowd, crowd)], 1).sum())
         if math.isnan(incumbent):
@@ -231,24 +286,66 @@ def _prefix_search(
     return best
 
 
+def _seeds_best_first(
+    matrix: np.ndarray, weight: np.ndarray, first: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every seed pair (a, b), a < b, by ascending matrix[a, b] + weight[a] + weight[b].
+
+    Returns the pairs' positions in triu_indices order and their sums, both
+    in that ascending order. The sums are formed in blocks of about
+    _WORK_ENTRIES entries, and no index arrays are kept.
+    """
+    n = matrix.shape[0]
+    sums = np.empty(int(first[-1]))
+    cols = np.arange(n)
+    rows = max(1, _WORK_ENTRIES // n)
+    for lo in range(0, n - 1, rows):
+        hi = min(n - 1, lo + rows)
+        block = matrix[lo:hi] + weight
+        block += weight[lo:hi, None]
+        # a boolean mask reads the upper triangle row by row, as triu_indices does
+        sums[first[lo] : first[hi]] = block[cols > cols[lo:hi, None]]
+    order = np.argsort(sums)
+    sums.sort()
+    return order, sums
+
+
 def greedy_select(sim, k: int) -> tuple[int, ...]:
     """Greedy hill-climbing selection of a size-k crowd.
 
     Runs the greedy completion (repeatedly add the worker maximizing the
     resulting diversity, ties toward the smallest index) from every
-    two-worker seed pair at once, and keeps the most diverse finished crowd;
-    seed ties resolve to the lexicographically smallest pair. A single
-    least-similar-pair seed is noticeably weaker (about 5% below the exact
-    optimum on random instances); restarting over all pairs closes that gap
-    at O(k n) vectorized work per seed. For k = 2 this degenerates to the
-    globally least-similar pair.
+    two-worker seed pair, and keeps the most diverse finished crowd; seed
+    ties resolve to the pair that comes first in lexicographic order. A
+    single least-similar-pair seed is noticeably weaker (about 5% below the
+    exact optimum on random instances); restarting over all pairs closes
+    that gap at O(k n) vectorized work per seed. For k = 2 this degenerates
+    to the globally least-similar pair.
+
+    Seeds that cannot win are not finished. Before its first step a seed
+    (a, b) can finish no lower than sim[a, b] + low[a] + low[b] + floor[k-2]
+    (see _completion_floor), and seeds run best-first in ascending order of
+    that bound: the first seed alone, then chunks of about 2^16 array
+    entries. A chunk's seeds whose bound exceeds the least pair sum found so
+    far, plus the rounding slack exact_select uses, are skipped, and the run
+    stops at the first chunk that starts above it; later steps drop seeds
+    by the same rule (see _greedy_complete). No seed that could tie the
+    winner is dropped, and a surviving seed's pair sum is computed exactly
+    as before, so the crowd is the one the full all-pairs run returns.
+    Where a pair sum could overflow, nothing is dropped.
     """
     matrix = check_similarity_matrix(sim)
     n = matrix.shape[0]
     if not GREEDY_MIN_K <= k <= n:
         raise ValueError(f"k must lie in [{GREEDY_MIN_K}, {n}], got {k}")
-    rows, cols = np.triu_indices(n, 1)
-    best_div = -math.inf
+    # first[a]: position of the seed pair (a, a + 1) in triu_indices order
+    first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    seeds = int(first[-1])
+    # rounding error of a pair sum grows with its number of terms and their
+    # size; where a sum could overflow, rounding has no bound and nothing prunes
+    scale = math.comb(k, 2) * float(np.abs(matrix).max())
+    slack = _PRUNE_SLACK * (1.0 + scale) if scale < _NO_OVERFLOW else math.inf
+    best_div, best_pos, best_sum = -math.inf, seeds, math.inf
     best_members: np.ndarray | None = None
     # (seeds, n) work arrays of about 512 KB keep every step's passes in cache;
     # 32 MB arrays made n = 300 three to four times slower on a 2 MB-L2 core
@@ -257,16 +354,33 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
     # meet; a NaN crowd never wins, as in exact_select, and if no crowd is
     # comparable that is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, rows.size, chunk):
-            members, pair_sum = _greedy_complete(
-                matrix, rows[start : start + chunk], cols[start : start + chunk], k
+        low, floor = _completion_floor(matrix, k)
+        order, bound = _seeds_best_first(matrix, low + floor[k - 2] / 2.0, first)
+        # the least-bound seed alone gives the first chunk a threshold
+        edges = [0, *range(1, seeds, chunk), seeds]
+        for start, stop in zip(edges, edges[1:]):
+            limit = best_sum + slack + _PRUNE_SLACK * abs(best_sum)
+            # a NaN bound or limit compares False, so it keeps its seeds
+            if bound[start] > limit:
+                break
+            pos = order[start:stop][~(bound[start:stop] > limit)]
+            s0 = np.searchsorted(first, pos, side="right") - 1
+            members, pair_sum, done = _greedy_complete(
+                matrix, s0, pos - first[s0] + s0 + 1, k, floor, limit
             )
+            pos = pos[done]
             div = -pair_sum / k
             div[np.isnan(div)] = -np.inf
-            top = int(np.argmax(div))
-            if div[top] > best_div:
-                best_div = float(div[top])
-                best_members = members[top]
+            top_div = div.max(initial=-np.inf)
+            if top_div == -np.inf:
+                continue
+            # the highest diversity wins, and of equals the seed that comes
+            # first in triu_indices order, as in a scan in that order
+            tied = np.flatnonzero(div == top_div)
+            top = tied[np.argmin(pos[tied])]
+            if top_div > best_div or (top_div == best_div and pos[top] < best_pos):
+                best_div, best_pos = float(top_div), int(pos[top])
+                best_sum, best_members = float(pair_sum[top]), members[top]
     if best_members is None:
         raise ValueError(_OVERFLOW_MESSAGE)
     return tuple(sorted(int(i) for i in best_members))

@@ -1,7 +1,11 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crowdselect import cli
 
@@ -565,3 +569,103 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, "select", "t", "--pool", str(path), *options)
         assert code == 0
         assert out == expected
+
+
+# stands for a field longer than the csv module's limit of 131072 characters;
+# expanded only when the file is written, so failure reports stay short
+LONG_FIELD = "<long>"
+# hostile cell text: numbers, non-finite spellings, quotes, separators and
+# empty cells
+CELLS = st.one_of(
+    st.sampled_from([
+        "", " ", "a", "b", "w1", "p", "worker_id", "nan", "NaN", "inf", "-inf", "1e309",
+        "-0", "0", "0.5", "1", "2", "-1", "1e-400", "0x10", "1_0", '"', '""', ",", "\n",
+    ]),
+    st.text(max_size=6),
+    st.floats().map(repr),
+    st.just(LONG_FIELD),
+)
+
+
+# cell values of a well-formed matrix file
+PLAIN_VALUES = ["0", "1", "0.5", "-0.25", "2", "1e-300", "0.1"]
+
+
+def mutated_csv(draw, rows):
+    """CSV text of well-formed rows after up to four hostile edits.
+
+    An edit replaces a cell with hostile text, makes a row ragged, inserts an
+    empty row, or deletes or repeats a row.
+    """
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        edit = draw(st.sampled_from(["cell", "ragged", "empty", "delete", "repeat"]))
+        at = draw(st.integers(min_value=0, max_value=len(rows)))
+        if edit == "empty":
+            rows.insert(at, [])
+        elif at < len(rows) and edit == "delete":
+            del rows[at]
+        elif at < len(rows) and edit == "repeat":
+            rows.insert(at, list(rows[at]))
+        elif at < len(rows) and rows[at]:
+            col = draw(st.integers(min_value=0, max_value=len(rows[at]) - 1))
+            if edit == "cell":
+                rows[at][col] = draw(CELLS)
+            elif draw(st.booleans()):
+                rows[at] = rows[at][:col]
+            else:
+                rows[at].append(draw(CELLS))
+    return "\n".join(",".join(row) for row in rows) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def worker_ids(draw, n):
+    """n worker ids; sometimes the second repeats the first."""
+    ids = [f"w{i}" for i in range(n)]
+    if n > 1 and draw(st.booleans()):
+        ids[1] = ids[0]
+    return ids
+
+
+@st.composite
+def hostile_matrix_files(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    values = draw(st.lists(st.sampled_from(PLAIN_VALUES), min_size=n * n, max_size=n * n))
+    # the mirror of a value is the value itself, so the file starts symmetric
+    rows = [[values[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    return mutated_csv(draw, [worker_ids(draw, n), *rows])
+
+
+@st.composite
+def hostile_pool_files(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    probs = draw(st.lists(st.sampled_from(["0", "1", "0.5", "0.1", "1e-300"]), min_size=n, max_size=n))
+    rows = [[worker, p] for worker, p in zip(worker_ids(draw, n), probs)]
+    return mutated_csv(draw, [["worker_id", "p"], *rows])
+
+
+class TestHostileFiles:
+    @given(text=hostile_matrix_files(), k=st.integers(min_value=-1, max_value=6),
+           method=st.sampled_from(sorted(cli.solvers.SOLVERS["smodel"])))
+    @example(text=f"w0,w1\n0,{LONG_FIELD}\n1,0\n", k=2, method="greedy")
+    @settings(max_examples=150, deadline=None)
+    def test_select_s_exits_0_or_2(self, text, k, method):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "matrix.csv"
+            path.write_text(text.replace(LONG_FIELD, "9" * 140_000))
+            code = cli.main(["select", "s", "--matrix", str(path), "-k", str(k),
+                             "--method", method])
+        assert code in (0, 2)
+
+    @given(text=hostile_pool_files(), k=st.integers(min_value=-1, max_value=6),
+           theta1=st.integers(min_value=-1, max_value=4),
+           theta0=st.integers(min_value=-1, max_value=4),
+           method=st.sampled_from(sorted(cli.solvers.SOLVERS["tmodel"])))
+    @example(text=f"worker_id,p\nw0,{LONG_FIELD}\n", k=1, theta1=1, theta0=0, method="exact")
+    @settings(max_examples=150, deadline=None)
+    def test_select_t_exits_0_or_2(self, text, k, theta1, theta0, method):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pool.csv"
+            path.write_text(text.replace(LONG_FIELD, "9" * 140_000))
+            code = cli.main(["select", "t", "--pool", str(path), "-k", str(k),
+                             "--theta1", str(theta1), "--theta0", str(theta0),
+                             "--method", method])
+        assert code in (0, 2)

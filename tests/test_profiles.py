@@ -219,6 +219,30 @@ class TestKlDivergence:
         assert profiles.kl_divergence(p, q) >= 0.0
 
 
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("p, q", [
+        ([math.nan, 1.0], [0.5, 0.5]),
+        ([0.5, 0.5], [math.nan, 1.0]),
+        ([math.inf, 0.0], [0.5, 0.5]),
+    ])
+    def test_kl_divergence(self, p, q):
+        with pytest.raises(ValueError, match="finite"):
+            profiles.kl_divergence(p, q)
+
+    @pytest.mark.parametrize("pi, mu", [
+        ([math.nan, 1.0], [[0.5, 0.5], [0.5, 0.5]]),
+        ([0.5, 0.5], [[math.nan, 1.0], [0.5, 0.5]]),
+    ])
+    def test_topic_model(self, pi, mu):
+        with pytest.raises(ValueError, match="finite"):
+            TopicModel(pi=np.array(pi), mu=np.array(mu), vocab=("a", "b"))
+
+    @pytest.mark.parametrize("count", [math.nan, math.inf])
+    def test_experience_counts(self, count):
+        with pytest.raises(ValueError, match="finite"):
+            Experience(counts={"a": count})
+
+
 class TestLogsumexp:
     @staticmethod
     def rows() -> np.ndarray:

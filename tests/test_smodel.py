@@ -345,6 +345,54 @@ def greedy_reference(sim: np.ndarray, k: int) -> tuple[int, ...]:
     return best
 
 
+def kl_similarity(posteriors: np.ndarray) -> np.ndarray:
+    """Negated symmetrized KL divergence between rows, as profiles builds it."""
+    post = posteriors + 1e-10
+    post = post / post.sum(axis=1, keepdims=True)
+    logs = np.log(post)
+    div = (post * logs).sum(axis=1)[:, None] - post @ logs.T
+    np.fill_diagonal(div, 0.0)
+    return -(div + div.T) / 2.0
+
+
+# values a few units in the last place apart, so that greedy steps nearly tie
+NEAR_TIES = [-0.5, -0.5 + 2**-52, -0.5 - 2**-53, 0.0, 1e-300, 0.25, 0.25 + 2**-54, 1.0]
+
+
+@st.composite
+def greedy_cases(draw):
+    """(matrix, k): symmetric integer, all-equal, near-tie float or KL-like matrices."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    kind = draw(st.sampled_from(["ties", "equal", "floats", "kl"]))
+    if kind == "kl":
+        # skewed topic mixtures: many pairs near the smoothing floor
+        weights = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)
+        post = np.array(draw(st.lists(weights, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+        post[:, 0] += 1e-3
+        sim = kl_similarity(post / post.sum(axis=1, keepdims=True))
+    else:
+        if kind == "ties":
+            entries = st.integers(min_value=-2, max_value=2).map(float)
+        else:
+            entries = st.one_of(
+                st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False),
+                st.sampled_from(NEAR_TIES),
+            )
+        if kind == "equal":
+            sim = np.full((n, n), draw(entries))
+        else:
+            upper = np.triu(np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+                            .reshape(n, n))
+            sim = upper + np.triu(upper, 1).T
+    return sim, draw(st.integers(min_value=2, max_value=n))
+
+
+def skewed_matrix(n: int, seed: int) -> np.ndarray:
+    """KL similarities of n workers over three topics with skewed mixtures."""
+    rng = np.random.default_rng(seed)
+    return kl_similarity(rng.dirichlet(np.full(3, 0.3), size=n))
+
+
 class TestGreedyReference:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_on_tie_heavy_matrices(self, seed):
@@ -355,6 +403,49 @@ class TestGreedyReference:
         sim = sim + sim.T
         for k in range(2, n + 1):
             assert smodel.greedy_select(sim, k) == greedy_reference(sim, k)
+
+    @given(greedy_cases())
+    @example((overflowing_matrix(), 4))
+    @example((overflowing_matrix(), 6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, case):
+        # the reference adds each margin in the order greedy_select does, so
+        # on a symmetric matrix every pair sum is the same float
+        sim, k = case
+        expected = greedy_reference(sim, k)
+        if expected is None:
+            with pytest.raises(ValueError, match="too large"):
+                smodel.greedy_select(sim, k)
+        else:
+            assert smodel.greedy_select(sim, k) == expected
+
+
+def completed_seed_rows(monkeypatch, sim: np.ndarray, k: int) -> int:
+    """Seed rows that greedy_select runs to a full crowd."""
+    full = smodel._greedy_complete
+    completed = []
+
+    def counting(*args):
+        out = full(*args)
+        completed.append(out[2].size)
+        return out
+
+    monkeypatch.setattr(smodel, "_greedy_complete", counting)
+    smodel.greedy_select(sim, k)
+    return sum(completed)
+
+
+class TestGreedyPruning:
+    SEEDS = 60 * 59 // 2
+
+    def test_most_seeds_dropped_on_skewed_matrix(self, monkeypatch):
+        assert completed_seed_rows(monkeypatch, skewed_matrix(60, 3), 4) < self.SEEDS / 2
+
+    def test_nothing_dropped_near_overflow_scale(self, monkeypatch):
+        # pair sums of four such workers could reach the overflow scale, where
+        # rounding has no bound and no seed may be dropped
+        sim = skewed_matrix(60, 3) * 1e299
+        assert completed_seed_rows(monkeypatch, sim, 4) == self.SEEDS
 
 
 class TestRandomSelect:
