@@ -51,8 +51,6 @@ class DistSpec:
     @classmethod
     def parse(cls, text) -> "DistSpec":
         """Accept 'uniform', 'normal', 'normal(mean,stddev)', or a mapping."""
-        if isinstance(text, DistSpec):
-            return text
         if isinstance(text, dict):
             if "kind" not in text:
                 raise ValueError("distribution mapping needs a 'kind'")
@@ -173,7 +171,7 @@ class ExperimentConfig:
                 resolve_demand(spec, 1)
         try:
             tmodel.SaParams(seed=0, **self.sa_params)
-        except TypeError as err:  # an unknown field, or a seed of its own
+        except (TypeError, ValueError) as err:  # a bad value, an unknown field, or a seed
             raise ValueError(f"sa: {err}") from None
 
     @classmethod
@@ -187,7 +185,7 @@ class ExperimentConfig:
                 raise ValueError(f"config field {key!r} is required")
             try:
                 return parse(raw.get(key, *default))
-            except (TypeError, ValueError) as err:
+            except (TypeError, ValueError, OverflowError) as err:  # int(inf) overflows
                 raise ValueError(f"config field {key!r}: {err}") from None
 
         return cls(
@@ -197,7 +195,7 @@ class ExperimentConfig:
             distribution=get("distribution", DistSpec.parse, "uniform"),
             ks=get("k", lambda v: tuple(int(k) for k in _json_list(v))),
             demands=get("demands", lambda v: tuple((t1, t0) for t1, t0 in _json_list(v)), []),
-            methods=get("methods", lambda v: tuple(_json_list(v)), []),
+            methods=get("methods", lambda v: tuple(str(m) for m in _json_list(v)), []),
             seed=get("seed", int, 0),
             exact_budget_s=get("exact_budget_s", float, DEFAULT_EXACT_BUDGET_S),
             sa_params=get("sa", dict, {}),

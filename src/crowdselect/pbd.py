@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -156,18 +156,14 @@ def pmf_dftcf(probs: Sequence[float]) -> np.ndarray:
     return np.clip(raw.real, 0.0, 1.0)
 
 
-def window_prob(
-    probs: Sequence[float],
-    window: DemandWindow,
-    pmf: Callable[[Sequence[float]], np.ndarray] = pmf_dftcf,
-) -> float:
+def window_prob(probs: Sequence[float], window: DemandWindow) -> float:
     """Exact probability that the positive count lands in [theta1, theta2], both ends inclusive."""
     p = as_prob_array(probs)
     if p.size != window.k:
         raise ValueError(
             f"probability vector has length {p.size}, demand window expects k = {window.k}"
         )
-    mass = pmf(p)
+    mass = pmf_dftcf(p)
     total = float(mass[window.theta1 : window.theta2 + 1].sum())
     return min(1.0, max(0.0, total))
 
@@ -176,10 +172,15 @@ class WindowKernel:
     """Window probability for a fixed demand window, with precomputed DFT constants.
 
     Folding the window sum into per-frequency weights turns each evaluation
-    into one characteristic-function product per frequency. tau() is a scalar
-    fast path (conjugate symmetry halves the work) for annealing loops;
-    tau_many() scores a batch of candidate subsets at once for exact
-    enumeration.
+    into one characteristic-function product per frequency. tau_many() scores
+    a batch of candidate subsets at once for exact enumeration.
+
+    w0 and half_terms hold the same constants as Python scalars for the
+    annealing score. Frequencies l and k + 1 - l are conjugate, so the window
+    probability is w0 plus the real part of the sum, over the (one_minus_root,
+    weight) pairs of half_terms, of weight times the product over members of
+    1 - p * one_minus_root; weight counts the middle frequency (k odd) once
+    and the others twice.
     """
 
     def __init__(self, window: DemandWindow):
@@ -189,26 +190,14 @@ class WindowKernel:
         self._roots = np.exp(2j * np.pi * freqs / n)
         counts = np.arange(window.theta1, window.theta2 + 1)
         self._weights = np.exp(-2j * np.pi * np.outer(freqs, counts) / n).sum(axis=1) / n
-        # Python-scalar mirrors for the tight scalar loop; frequency l and
-        # n - l are conjugate, so only the lower half is evaluated, with the
-        # middle frequency (even n) counted once and the rest twice.
-        self._w0 = float(self._weights[0].real)
-        self._half_terms = []
+        # frequency 0: the characteristic function is 1
+        self.w0 = float(self._weights[0].real)
+        self.half_terms = []
         for l in range(1, n // 2 + 1):
             factor = 1.0 if 2 * l == n else 2.0
-            self._half_terms.append(
+            self.half_terms.append(
                 (complex(1.0 - self._roots[l]), factor * complex(self._weights[l]))
             )
-
-    def tau(self, probs: Sequence[float]) -> float:
-        """Exact window probability of one subset; pure-Python hot path."""
-        acc = self._w0  # frequency 0: the characteristic function is 1
-        for one_minus_root, weight in self._half_terms:
-            z = complex(1.0)
-            for p in probs:
-                z *= 1.0 - p * one_minus_root
-            acc += (weight * z).real
-        return min(1.0, max(0.0, acc))
 
     def tau_many(self, prob_matrix: np.ndarray) -> np.ndarray:
         """Exact window probabilities for a batch of subsets, one row each.

@@ -100,6 +100,10 @@ class TopicModel:
         object.__setattr__(self, "mu", mu)
         if pi.ndim != 1 or mu.ndim != 2:
             raise ValueError("pi must be a vector and mu a matrix")
+        if not all(isinstance(word, str) for word in self.vocab):
+            raise ValueError("vocabulary entries must be strings")
+        if len(set(self.vocab)) != len(self.vocab):
+            raise ValueError("vocabulary entries must be unique")
         if mu.shape != (pi.size, len(self.vocab)):
             raise ValueError("mu must be (topics, vocabulary) shaped")
         if not (np.all(np.isfinite(pi)) and np.all(np.isfinite(mu))):
@@ -261,10 +265,11 @@ def em_fit(
 
 def _posteriors(counts: np.ndarray, model: TopicModel) -> np.ndarray:
     """Posterior topic distribution of each row of a (workers, vocabulary) count matrix."""
-    # a zero probability makes NaN rows (0 * log 0), which callers reject
+    # a zero probability makes NaN rows (0 * log 0, then -inf - -inf), which
+    # callers reject
     with np.errstate(divide="ignore", invalid="ignore"):
         log_joint = counts @ np.log(model.mu).T + np.log(model.pi)
-    return np.exp(log_joint - _logsumexp(log_joint, axis=1, keepdims=True))
+        return np.exp(log_joint - _logsumexp(log_joint, axis=1, keepdims=True))
 
 
 def topic_posterior(experience: Experience, model: TopicModel) -> np.ndarray:
@@ -272,9 +277,7 @@ def topic_posterior(experience: Experience, model: TopicModel) -> np.ndarray:
     return _posteriors(_counts_matrix([experience], model.vocab), model)[0]
 
 
-def kl_divergence(
-    p: Sequence[float], q: Sequence[float], eps: float = SMOOTHING
-) -> float:
+def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
     """KL divergence (nats) between two distributions, smoothed against zeros."""
     pa = np.asarray(p, dtype=float)
     qa = np.asarray(q, dtype=float)
@@ -287,8 +290,8 @@ def kl_divergence(
             raise ValueError("distributions must be non-negative")
         if abs(float(arr.sum()) - 1.0) > 1e-6:
             raise ValueError("distributions must sum to 1 within 1e-6")
-    pa = (pa + eps) / (pa + eps).sum()
-    qa = (qa + eps) / (qa + eps).sum()
+    pa = (pa + SMOOTHING) / (pa + SMOOTHING).sum()
+    qa = (qa + SMOOTHING) / (qa + SMOOTHING).sum()
     # KL is non-negative, but rounding leaves about -1e-16 for near-equal
     # inputs; np.maximum clamps that and still passes NaN through
     return float(np.maximum((pa * np.log(pa / qa)).sum(), 0.0))

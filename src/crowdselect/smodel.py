@@ -32,10 +32,12 @@ _WORK_ENTRIES = 1 << 16
 _PRUNE_SLACK = 1e-9
 # sums of pair entries stay below this far from the float limit (about 1.8e308)
 _NO_OVERFLOW = 1e300
+# largest |sim[i, j] - sim[j, i]| a similarity matrix may have
+_SYMMETRY_TOL = 1e-9
 
 
-def check_similarity_matrix(sim, tol: float = 1e-9) -> np.ndarray:
-    """Validate an n x n similarity matrix: square, finite, symmetric within tol."""
+def check_similarity_matrix(sim) -> np.ndarray:
+    """Validate an n x n similarity matrix: square, finite, symmetric within _SYMMETRY_TOL."""
     arr = np.asarray(sim, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("similarity matrix must be square")
@@ -43,8 +45,12 @@ def check_similarity_matrix(sim, tol: float = 1e-9) -> np.ndarray:
         raise ValueError("similarity matrix must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("similarity matrix has non-finite entries")
-    if not np.allclose(arr, arr.T, atol=tol, rtol=0.0):
-        raise ValueError(f"similarity matrix is not symmetric within {tol}")
+    # one n x n temporary, reused for the absolute values; a gap that
+    # overflows to inf fails the test below
+    with np.errstate(over="ignore"):
+        gap = arr - arr.T
+    if not np.abs(gap, out=gap).max() <= _SYMMETRY_TOL:
+        raise ValueError(f"similarity matrix is not symmetric within {_SYMMETRY_TOL}")
     return arr
 
 

@@ -72,8 +72,8 @@ class SaParams:
     def __post_init__(self):
         if not self.t_ini > self.t_end > 0.0:
             raise ValueError("need t_ini > t_end > 0")
-        if self.r < 0:
-            raise ValueError("sweep count r must be non-negative")
+        if not isinstance(self.r, (int, np.integer)) or self.r < 0:
+            raise ValueError(f"sweep count r must be a non-negative integer, got {self.r!r}")
         if not 0.0 < self.c < 1.0:
             raise ValueError("cooling ratio c must lie in (0, 1)")
 
@@ -134,8 +134,8 @@ def _check_feasible(pool: CandidatePool, window: DemandWindow) -> None:
         raise ValueError(f"cannot select k = {window.k} from {len(pool)} candidates")
 
 
-# Entries per work array of exact enumeration and of the knapsack tables'
-# subset sums: a (rows, k) block holds about this many, 1 MB as complex values.
+# Entries per work array of exact enumeration: a (rows, k) block holds about
+# this many, 1 MB as complex values.
 _WORK_ENTRIES = 1 << 16
 # Memory the cached enumerations may hold together.
 _CACHE_BYTES = 64 << 20
@@ -231,31 +231,21 @@ def _subset_sum_tables(
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Per-size subset sums of one half-pool: size -> (sorted sums, matching bitmasks).
 
-    Bit j of a code selects weights[j]. Sizes follow the doubling recurrence
-    sizes = concat(sizes, sizes + 1), and one stable sort by (size, sum)
-    splits the codes into the per-size tables, ties in code order. Each sum
-    is the BLAS dot product of the code's 0/1 row with the weights, in blocks
-    of at most _WORK_ENTRIES bits, so the float copy of a block stays small.
-    A block's row count is a power of two, as when one block held a whole
-    table: OpenBLAS sums the last (rows mod 4) rows of a product by another
-    kernel, which rounds some of them differently. The doubling sum,
-    sums = concat(sums, sums + w), would be some thirty times cheaper, but it
-    adds in index order and BLAS does not, so the two differ in the last bit.
-    On pools of round probabilities many subsets share a mass, and that bit
-    decides which of them a knapsack query returns.
+    Bit j of a code selects weights[j]. Both tables fill by doubling: the
+    codes with bit j set are those below 2^j plus weights[j], so every sum
+    adds its members in index order, one IEEE addition per member, and is
+    the same on every platform. On pools of round probabilities many subsets
+    share a mass, and the last bit of a sum decides which of them a knapsack
+    query returns. One stable sort by (size, sum) splits the codes into the
+    per-size tables, ties in code order.
     """
     m = weights.size
-    total = 1 << m
-    sizes = np.zeros(1, dtype=np.int8)
-    for _ in range(m):
-        sizes = np.concatenate((sizes, sizes + 1))
-    sums = np.empty(total)
-    chunk = 1 << ((_WORK_ENTRIES // max(1, m)).bit_length() - 1)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype="<u4")
-        octets = codes.view(np.uint8).reshape(-1, 4)
-        bits = np.unpackbits(octets, axis=1, count=m, bitorder="little")
-        sums[start : start + codes.size] = bits @ weights
+    sums = np.zeros(1 << m)
+    sizes = np.zeros(1 << m, dtype=np.int8)
+    for j, weight in enumerate(weights):
+        low, high = 1 << j, 2 << j
+        np.add(sums[:low], weight, out=sums[low:high])
+        np.add(sizes[:low], 1, out=sizes[low:high])
     order = np.argsort(sums, kind="stable")
     order = order[np.argsort(sizes[order], kind="stable")]
     sorted_sums, sorted_codes = sums[order], order.astype(np.uint32)
@@ -536,9 +526,9 @@ class _NormalScore(_SwapScore):
 class _DftcfScore(_SwapScore):
     """Exact window probability over incrementally kept characteristic-function terms.
 
-    The state holds, per frequency l that WindowKernel.tau evaluates, its
-    weight times z_l, the product over members of 1 - p (1 - w_l); the score
-    is the real part of their sum plus the frequency-0 weight. A swap
+    The state holds, per frequency l of WindowKernel.half_terms, its weight
+    times z_l, the product over members of 1 - p (1 - w_l); the score is the
+    real part of their sum plus WindowKernel.w0, clamped to [0, 1]. A swap
     multiplies in the incoming factors and divides out the outgoing ones, in
     one of two ways:
 
@@ -561,10 +551,10 @@ class _DftcfScore(_SwapScore):
 
     def __init__(self, probs: Sequence[float], window: DemandWindow, members: Sequence[int]):
         kernel = WindowKernel(window)
-        self._w0 = kernel._w0
-        self._weights = [weight for _, weight in kernel._half_terms]
+        self._w0 = kernel.w0
+        self._weights = [weight for _, weight in kernel.half_terms]
         self._factors = [
-            [1.0 - p * one_minus_root for one_minus_root, _ in kernel._half_terms]
+            [1.0 - p * one_minus_root for one_minus_root, _ in kernel.half_terms]
             for p in probs
         ]
         # 1 - p (1 - w) is exactly 0 only for p = 1/2 at w = -1, the Nyquist
@@ -598,7 +588,6 @@ class _DftcfScore(_SwapScore):
         return terms if self._pairs is not None else np.array(terms)
 
     def _value(self, terms):
-        # the sum and clamp of WindowKernel.tau
         value = sum(terms, self._w0).real
         if value > 1.0:
             return 1.0

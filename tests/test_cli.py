@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import tempfile
@@ -345,10 +346,12 @@ class TestBenchCommand:
               "methods": ["random", "dftcf-sa"], "sa": {"temp": 3}}, "sa: "),
             ({"model": "smodel", "n": 6, "trials": 2, "k": [3, 1],
               "methods": ["exact", "greedy"]}, "'greedy' needs k >= 2"),
+            ({"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
+              "methods": ["random", "dftcf-sa"], "sa": {"r": 1.5}}, "sa: "),
         ],
         ids=["missing-n", "scalar-k", "distribution-no-kind", "distribution-number",
              "top-level-list", "demand-zero-denominator", "methods-string", "zero-k",
-             "sa-seed", "sa-unknown-field", "greedy-k-1"],
+             "sa-seed", "sa-unknown-field", "greedy-k-1", "sa-fractional-r"],
     )
     def test_config_error_exit_2_before_any_cell(self, capsys, tmp_path, config, field):
         config_path = tmp_path / "config.json"
@@ -463,7 +466,8 @@ GOLDEN_SELECT = [
 # Pools past the enumeration limit: 120 two-decimal probabilities, with
 # repeats and p = 1/2 at w47, so that k = 21 anneals on the large-pool DFT-CF
 # path and meets the Nyquist rebuild; the first 38 of them, near the
-# knapsack limit, where many subsets share a mass and rounding decides ties
+# knapsack limit, where many subsets share a mass and the last bit of the
+# index-order subset sums decides ties
 GOLDEN_LARGE_PROBS = [((37 * i + 11) % 100) / 100 for i in range(120)]
 GOLDEN_LARGE_SELECT = [
     ((120, '-k', '21', '--theta1', '8', '--theta0', '8', '--method', 'dftcf-sa', '--seed', '0', '--sa-r', '200'),
@@ -471,13 +475,13 @@ GOLDEN_LARGE_SELECT = [
     ((120, '-k', '21', '--theta1', '8', '--theta0', '8', '--method', 'dftcf-sa', '--seed', '1', '--sa-r', '200'),
      '{"indices": [5, 13, 16, 24, 32, 35, 40, 43, 51, 59, 62, 65, 67, 70, 78, 81, 91, 97, 105, 108, 116], "method": "dftcf-sa", "objective": 0.9931036314571831, "subset": ["w5", "w13", "w16", "w24", "w32", "w35", "w40", "w43", "w51", "w59", "w62", "w65", "w67", "w70", "w78", "w81", "w91", "w97", "w105", "w108", "w116"], "tau": 0.993103631457183}\n'),
     ((38, '-k', '13', '--theta1', '4', '--theta0', '4', '--method', 'poisson', '--seed', '0'),
-     '{"indices": [1, 6, 9, 11, 12, 17, 24, 25, 27, 29, 32, 36, 37], "method": "poisson", "objective": 0.6582545388207287, "subset": ["w1", "w6", "w9", "w11", "w12", "w17", "w24", "w25", "w27", "w29", "w32", "w36", "w37"], "tau": 0.9522794713435987}\n'),
+     '{"indices": [1, 2, 6, 9, 14, 17, 22, 28, 29, 32, 33, 36, 37], "method": "poisson", "objective": 0.6582545388207279, "subset": ["w1", "w2", "w6", "w9", "w14", "w17", "w22", "w28", "w29", "w32", "w33", "w36", "w37"], "tau": 0.9389393290515436}\n'),
     ((38, '-k', '13', '--theta1', '4', '--theta0', '4', '--method', 'poisson', '--seed', '1'),
-     '{"indices": [1, 6, 9, 11, 12, 17, 24, 25, 27, 29, 32, 36, 37], "method": "poisson", "objective": 0.6582545388207287, "subset": ["w1", "w6", "w9", "w11", "w12", "w17", "w24", "w25", "w27", "w29", "w32", "w36", "w37"], "tau": 0.9522794713435987}\n'),
+     '{"indices": [1, 2, 6, 9, 14, 17, 22, 28, 29, 32, 33, 36, 37], "method": "poisson", "objective": 0.6582545388207279, "subset": ["w1", "w2", "w6", "w9", "w14", "w17", "w22", "w28", "w29", "w32", "w33", "w36", "w37"], "tau": 0.9389393290515436}\n'),
     ((38, '-k', '13', '--theta1', '4', '--theta0', '4', '--method', 'binomial', '--seed', '0'),
-     '{"indices": [2, 3, 4, 6, 9, 11, 12, 13, 14, 20, 24, 30, 32], "method": "binomial", "objective": 0.8382303677888999, "subset": ["w2", "w3", "w4", "w6", "w9", "w11", "w12", "w13", "w14", "w20", "w24", "w30", "w32"], "tau": 0.9494189411373753}\n'),
+     '{"indices": [2, 4, 13, 16, 18, 19, 24, 25, 27, 29, 31, 35, 37], "method": "binomial", "objective": 0.8382303677888999, "subset": ["w2", "w4", "w13", "w16", "w18", "w19", "w24", "w25", "w27", "w29", "w31", "w35", "w37"], "tau": 0.9743115312249221}\n'),
     ((38, '-k', '13', '--theta1', '4', '--theta0', '4', '--method', 'binomial', '--seed', '1'),
-     '{"indices": [2, 3, 4, 6, 9, 11, 12, 13, 14, 20, 24, 30, 32], "method": "binomial", "objective": 0.8382303677888999, "subset": ["w2", "w3", "w4", "w6", "w9", "w11", "w12", "w13", "w14", "w20", "w24", "w30", "w32"], "tau": 0.9494189411373753}\n'),
+     '{"indices": [2, 4, 13, 16, 18, 19, 24, 25, 27, 29, 31, 35, 37], "method": "binomial", "objective": 0.8382303677888999, "subset": ["w2", "w4", "w13", "w16", "w18", "w19", "w24", "w25", "w27", "w29", "w31", "w35", "w37"], "tau": 0.9743115312249221}\n'),
 ]
 GOLDEN_S_REPORT = """\
 trial,method,k,theta1,theta0,objective,tau_or_div,status
@@ -668,4 +672,101 @@ class TestHostileFiles:
             code = cli.main(["select", "t", "--pool", str(path), "-k", str(k),
                              "--theta1", str(theta1), "--theta0", str(theta0),
                              "--method", method])
+        assert code in (0, 2)
+
+
+# hostile JSON values: wrong types, non-finite and out-of-range numbers, and
+# nested containers; numbers stay small, so no accepted value asks for a
+# large pool, many trials or long annealing
+JSON_VALUES = st.sampled_from([
+    None, True, False, 0, 1, 2, 7, -1, 0.0, 0.5, 1.5, -0.5, 1e308, float("nan"),
+    float("inf"), float("-inf"), "", "x", "a", "1", "k/2", "k/0", "normal", [], [1], [[1]],
+    [[1, 1]], ["x"], ["a", "a"], {}, {"kind": "normal"}, {"r": 1.5},
+])
+
+
+def mutated_json(draw, value):
+    """value after up to three hostile edits at random depths.
+
+    An edit replaces a value, deletes a key or list item, or appends an item.
+    """
+
+    def fresh():
+        # hypothesis may hand out one object twice; edits must not reach it
+        return copy.deepcopy(draw(JSON_VALUES))
+
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        parent, key = None, None
+        node = value
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            parent = node
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            node = node[key]
+        edit = draw(st.sampled_from(["replace", "delete", "append"]))
+        if edit == "append" and isinstance(node, list):
+            node.append(fresh())
+        elif edit == "delete" and parent is not None:
+            del parent[key]
+        elif parent is None:
+            value = fresh()
+        else:
+            parent[key] = fresh()
+    return value
+
+
+HOSTILE_CORPUS = "".join(
+    json.dumps({"worker_id": w, "task_id": t, "text": text}) + "\n"
+    for w, t, text in [("u", "t1", "a b a"), ("v", "t1", "b c"), ("w", "t2", "c d c")]
+)
+
+
+@st.composite
+def hostile_models(draw):
+    model = {
+        "pi": [0.25, 0.75],
+        "mu": [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]],
+        "vocab": ["a", "b", "c"],
+    }
+    return mutated_json(draw, model)
+
+
+@st.composite
+def hostile_configs(draw):
+    if draw(st.booleans()):
+        config = {"model": "smodel", "n": 6, "trials": 1, "k": [2, 3],
+                  "methods": ["exact", "greedy", "random"], "seed": 1}
+    else:
+        config = {"model": "tmodel", "n": 6, "trials": 1, "distribution": "normal(0.5,0.2)",
+                  "k": [2, 3], "demands": [[1, 1], ["k/2", 0]],
+                  "methods": ["exact", "poisson", "binomial", "normal-sa", "dftcf-sa", "random"],
+                  "sa": {"r": 2, "c": 0.5}, "seed": 1}
+    return mutated_json(draw, config)
+
+
+class TestHostileJson:
+    @given(model=hostile_models())
+    @example(model={"pi": [1.0], "mu": [[1.0]], "vocab": [[1]]})
+    @example(model={"pi": [1.0], "mu": [[1.0, 0.0]], "vocab": ["a", "b"]})
+    @settings(max_examples=150, deadline=None)
+    def test_profile_similarity_exits_0_or_2(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, model_path = Path(tmp) / "corpus.jsonl", Path(tmp) / "model.json"
+            corpus.write_text(HOSTILE_CORPUS)
+            model_path.write_text(json.dumps(model))
+            code = cli.main(["profile", "similarity", "--corpus", str(corpus),
+                             "--model", str(model_path), "--out", str(Path(tmp) / "sim.csv")])
+        assert code in (0, 2)
+
+    @given(config=hostile_configs())
+    @example(config={"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
+                     "methods": ["dftcf-sa"], "sa": {"r": 1.5}})
+    @example(config={"model": "smodel", "n": float("inf"), "trials": 1, "k": [2]})
+    @example(config={"model": "smodel", "n": 6, "trials": 1, "k": [2], "methods": [[1]]})
+    @settings(max_examples=150, deadline=None)
+    def test_bench_run_exits_0_or_2(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path = Path(tmp) / "config.json"
+            config_path.write_text(json.dumps(config))
+            code = cli.main(["bench", "run", "--config", str(config_path),
+                             "--out-dir", str(Path(tmp) / "out")])
         assert code in (0, 2)

@@ -184,7 +184,11 @@ class TestWindowKernel:
         w = DemandWindow(theta1=theta1, theta0=theta0, k=k)
         kernel = WindowKernel(w)
         reference = pbd.window_prob(probs, w)
-        assert kernel.tau(list(probs)) == pytest.approx(reference, abs=1e-12)
+        # the scalar constants of the annealing score, over conjugate frequency pairs
+        scalar = kernel.w0
+        for one_minus_root, weight in kernel.half_terms:
+            scalar += (weight * math.prod(1.0 - p * one_minus_root for p in probs)).real
+        assert scalar == pytest.approx(reference, abs=1e-12)
         batch = kernel.tau_many(np.asarray([probs]))
         assert batch[0] == pytest.approx(reference, abs=1e-12)
 

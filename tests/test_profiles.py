@@ -219,6 +219,12 @@ class TestKlDivergence:
         assert profiles.kl_divergence(p, q) >= 0.0
 
 
+@pytest.mark.parametrize("vocab", [("x", "x"), ([1], "y"), ("x", 2)])
+def test_topic_model_vocabulary_of_unique_strings(vocab):
+    with pytest.raises(ValueError, match="vocabulary"):
+        TopicModel(pi=np.array([1.0]), mu=np.array([[0.5, 0.5]]), vocab=vocab)
+
+
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("p, q", [
         ([math.nan, 1.0], [0.5, 0.5]),
@@ -344,6 +350,15 @@ class TestExperienceSimilarityMatrix:
             mu=np.array([[1.0, 0.0], [0.5, 0.5]]),
             vocab=("a", "b"),
         )
+        with pytest.raises(ValueError, match="posteriors"):
+            profiles.experience_similarity_matrix([experience("a"), experience("b")], model)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_single_topic_with_zero_word_probability_rejected(self):
+        # the one topic gives "b" probability 0, so a worker who used "b" has
+        # a log-joint of -inf and log-evidence of -inf; their difference is
+        # NaN, which must not escape as a RuntimeWarning
+        model = TopicModel(pi=np.array([1.0]), mu=np.array([[1.0, 0.0]]), vocab=("a", "b"))
         with pytest.raises(ValueError, match="posteriors"):
             profiles.experience_similarity_matrix([experience("a"), experience("b")], model)
 

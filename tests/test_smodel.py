@@ -64,6 +64,31 @@ class TestDiversity:
         with pytest.raises(ValueError, match="symmetric"):
             smodel.diversity([0, 1], bad)
 
+    @given(st.integers(min_value=1, max_value=5).flatmap(lambda n: st.tuples(
+        st.lists(st.one_of(st.sampled_from([0.0, 0.1, 1e308, -1e308]), st.floats(-2.0, 2.0)),
+                 min_size=n * n, max_size=n * n),
+        st.lists(st.sampled_from([0.0, 1e-9, -1e-9, 1.0000000000000002e-9, 5e-10, 1e-3]),
+                 min_size=n * n, max_size=n * n),
+    )))
+    @settings(max_examples=200, deadline=None)
+    def test_symmetry_check_matches_allclose(self, case):
+        # a symmetric matrix with small gaps added above the diagonal; the
+        # check accepts exactly what allclose(atol=1e-9, rtol=0) accepts
+        values, gaps = case
+        n = math.isqrt(len(values))
+        lower = np.tril(np.array(values).reshape(n, n))
+        sim = lower + np.tril(lower, -1).T + np.triu(np.array(gaps).reshape(n, n), 1)
+        if np.allclose(sim, sim.T, atol=1e-9, rtol=0.0):
+            smodel.check_similarity_matrix(sim)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                smodel.check_similarity_matrix(sim)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_asymmetry_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            smodel.check_similarity_matrix([[0.0, 1e308], [-1e308, 0.0]])
+
     def test_diagonal_ignored(self):
         sim = make_matrix({(0, 1): 0.6}, 2)
         sim[0, 0] = 5.0

@@ -270,22 +270,30 @@ class TestKnapsackProperties:
         assert sorted(built) == [8, 9]
 
 
-    @pytest.mark.parametrize("half", range(12, 20))
-    def test_table_sums_independent_of_block_size(self, monkeypatch, half):
+    @pytest.mark.parametrize("half", range(1, 20))
+    def test_table_sums_add_in_index_order(self, half):
         # round probabilities share masses, and the last bit of a sum decides
-        # which subset a query returns, so blocking must not change any bit
+        # which subset a query returns, so each sum must be the same float on
+        # every platform: its members added one by one in index order
         rng = np.random.default_rng(half)
         weights = np.sort(np.round(rng.uniform(0, 1, half), int(rng.integers(1, 3))))
-        tables = []
-        for entries in (1 << 10, tmodel._WORK_ENTRIES, 1 << 30):
-            monkeypatch.setattr(tmodel, "_WORK_ENTRIES", entries)
-            tables.append(tmodel._subset_sum_tables(weights))
-        whole = tables[-1]  # one block per table
-        for blocked in tables[:-1]:
-            assert blocked.keys() == whole.keys()
-            for size, (sums, codes) in whole.items():
-                assert np.array_equal(blocked[size][0], sums)
-                assert np.array_equal(blocked[size][1], codes)
+        tables = tmodel._subset_sum_tables(weights)
+        assert sorted(tables) == list(range(half + 1))
+        entries = [
+            (size, float(total), int(code))
+            for size, (sums, codes) in tables.items()
+            for total, code in zip(sums, codes)
+        ]
+        assert sorted(code for _, _, code in entries) == list(range(1 << half))
+        if half > 14:
+            entries = random.Random(half).sample(entries, 3000)
+        for size, total, code in entries:
+            members = [float(weights[j]) for j in range(half) if code >> j & 1]
+            expected = 0.0
+            for weight in members:
+                expected += weight
+            assert len(members) == size
+            assert total.hex() == expected.hex()
 
 
 def traced_peak_mb(call) -> float:
@@ -482,6 +490,8 @@ class TestSaSelect:
             SaParams(c=1.0)
         with pytest.raises(ValueError):
             SaParams(r=-1)
+        with pytest.raises(ValueError, match="integer"):
+            SaParams(r=1.5)
 
     def test_paper_defaults(self):
         params = SaParams()
@@ -492,7 +502,7 @@ def from_scratch_score(objective: str, probs, subset, window: DemandWindow) -> f
     """Reference objective of one subset, evaluated without any incremental state."""
     members = [probs[i] for i in subset]
     if objective == "dftcf":
-        return pbd.WindowKernel(window).tau(members)
+        return pbd.window_prob(members, window)
     mean = sum(members)
     stddev = math.sqrt(sum(p * (1.0 - p) for p in members))
     return pbd.normal_window_raw(mean, stddev, window)
