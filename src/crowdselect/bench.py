@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -45,6 +46,11 @@ class DistSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "normal"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        for name in ("mean", "stddev"):
+            value = getattr(self, name)
+            is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if value is not None and not (is_number and math.isfinite(value)):
+                raise ValueError(f"distribution {name} must be a finite number, got {value!r}")
         if self.kind == "normal" and (self.stddev is not None and self.stddev <= 0):
             raise ValueError("normal stddev must be positive")
 

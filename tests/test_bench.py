@@ -31,6 +31,16 @@ class TestDistSpec:
         with pytest.raises(ValueError):
             DistSpec(kind="poisson")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [{"kind": "normal", "mean": "x"}, {"kind": "normal", "mean": [1, 2]},
+         {"kind": "normal", "mean": float("nan")}, {"kind": "uniform", "stddev": float("inf")},
+         {"kind": "normal", "mean": True}, "normal(nan,0.2)", "normal(0.5,inf)"],
+    )
+    def test_non_finite_or_non_number_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite number"):
+            DistSpec.parse(spec)
+
 
 class TestGenerators:
     def test_matrix_deterministic(self):

@@ -348,10 +348,17 @@ class TestBenchCommand:
               "methods": ["exact", "greedy"]}, "'greedy' needs k >= 2"),
             ({"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
               "methods": ["random", "dftcf-sa"], "sa": {"r": 1.5}}, "sa: "),
+            ({"model": "smodel", "n": 6, "trials": 1, "k": [2],
+              "distribution": {"kind": "normal", "mean": "x"}}, "'distribution'"),
+            ({"model": "smodel", "n": 6, "trials": 1, "k": [2],
+              "distribution": {"kind": "normal", "mean": [1, 2]}}, "'distribution'"),
+            ({"model": "smodel", "n": 6, "trials": 1, "k": [2],
+              "distribution": {"kind": "normal", "mean": float("nan")}}, "'distribution'"),
         ],
         ids=["missing-n", "scalar-k", "distribution-no-kind", "distribution-number",
              "top-level-list", "demand-zero-denominator", "methods-string", "zero-k",
-             "sa-seed", "sa-unknown-field", "greedy-k-1", "sa-fractional-r"],
+             "sa-seed", "sa-unknown-field", "greedy-k-1", "sa-fractional-r",
+             "distribution-mean-string", "distribution-mean-list", "distribution-mean-nan"],
     )
     def test_config_error_exit_2_before_any_cell(self, capsys, tmp_path, config, field):
         config_path = tmp_path / "config.json"
@@ -762,6 +769,12 @@ class TestHostileJson:
                      "methods": ["dftcf-sa"], "sa": {"r": 1.5}})
     @example(config={"model": "smodel", "n": float("inf"), "trials": 1, "k": [2]})
     @example(config={"model": "smodel", "n": 6, "trials": 1, "k": [2], "methods": [[1]]})
+    @example(config={"model": "smodel", "n": 6, "trials": 1, "k": [2],
+                     "distribution": {"kind": "normal", "mean": "x"}})
+    @example(config={"model": "smodel", "n": 6, "trials": 1, "k": [2],
+                     "distribution": {"kind": "normal", "mean": [1, 2]}})
+    @example(config={"model": "smodel", "n": 6, "trials": 1, "k": [2],
+                     "distribution": {"kind": "normal", "mean": float("nan")}})
     @settings(max_examples=150, deadline=None)
     def test_bench_run_exits_0_or_2(self, config):
         with tempfile.TemporaryDirectory() as tmp:

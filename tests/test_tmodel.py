@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -252,23 +253,22 @@ class TestKnapsackProperties:
         check_knapsack_side(below, masses, capacity)
         check_knapsack_side(None if above is None else -above, [-m for m in masses], -capacity)
 
-    def test_solver_builds_each_half_table_once(self, monkeypatch):
+    def test_solver_builds_light_table_once(self, monkeypatch):
         built = []
 
         def counting(weights):
             built.append(weights.size)
             return build(weights)
 
-        build = tmodel._subset_sum_tables
-        monkeypatch.setattr(tmodel, "_subset_sum_tables", counting)
+        build = tmodel._sorted_subset_sums
+        monkeypatch.setattr(tmodel, "_sorted_subset_sums", counting)
         pool = CandidatePool.from_probs(np.random.default_rng(12).uniform(0, 1, 17))
         window = DemandWindow(theta1=2, theta0=2, k=6)
         tmodel.select_poisson(pool, window)
-        assert sorted(built) == [8, 9]
+        assert built == [8]
         built.clear()
         tmodel.select_binomial(pool, window)
-        assert sorted(built) == [8, 9]
-
+        assert built == [8]
 
     @pytest.mark.parametrize("half", range(1, 20))
     def test_table_sums_add_in_index_order(self, half):
@@ -277,14 +277,17 @@ class TestKnapsackProperties:
         # every platform: its members added one by one in index order
         rng = np.random.default_rng(half)
         weights = np.sort(np.round(rng.uniform(0, 1, half), int(rng.integers(1, 3))))
-        tables = tmodel._subset_sum_tables(weights)
-        assert sorted(tables) == list(range(half + 1))
         entries = [
-            (size, float(total), int(code))
-            for size, (sums, codes) in tables.items()
-            for total, code in zip(sums, codes)
+            (size, float(total), base | int(low))
+            for size, base, lows, sums in tmodel._subset_sum_blocks(weights)
+            for total, low in zip(sums, lows)
         ]
         assert sorted(code for _, _, code in entries) == list(range(1 << half))
+        light = tmodel._sorted_subset_sums(weights)
+        assert len(light) == half + 1
+        for size, sums in enumerate(light):
+            streamed = np.sort([total for entry_size, total, _ in entries if entry_size == size])
+            assert [x.hex() for x in sums.tolist()] == [x.hex() for x in streamed.tolist()]
         if half > 14:
             entries = random.Random(half).sample(entries, 3000)
         for size, total, code in entries:
@@ -294,6 +297,129 @@ class TestKnapsackProperties:
                 expected += weight
             assert len(members) == size
             assert total.hex() == expected.hex()
+
+
+def oracle_subset_sum_tables(weights):
+    """Per-size subset sums of one half-pool: size -> (sorted sums, matching bitmasks).
+
+    The knapsack tables as they were before the heavy half was streamed: both
+    halves stored, sums by doubling, one stable sort by (size, sum).
+    """
+    m = weights.size
+    sums = np.zeros(1 << m)
+    sizes = np.zeros(1 << m, dtype=np.int8)
+    for j, weight in enumerate(weights):
+        low, high = 1 << j, 2 << j
+        np.add(sums[:low], weight, out=sums[low:high])
+        np.add(sizes[:low], 1, out=sizes[low:high])
+    order = np.argsort(sums, kind="stable")
+    order = order[np.argsort(sizes[order], kind="stable")]
+    sorted_sums, sorted_codes = sums[order], order.astype(np.uint32)
+    bounds = np.cumsum([0] + [math.comb(m, size) for size in range(m + 1)])
+    return {
+        size: (sorted_sums[lo:hi], sorted_codes[lo:hi])
+        for size, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    }
+
+
+def oracle_best(probs, k, capacity):
+    """The knapsack query over both stored half tables, as it was."""
+    probs = np.asarray(probs, dtype=float)
+    order = np.argsort(probs, kind="stable")
+    weights = probs[order]
+    prefix = np.concatenate(([0.0], np.cumsum(weights)))
+    n, half = order.size, order.size // 2
+    if prefix[k] > capacity:
+        return None
+    if float(prefix[n] - prefix[n - k]) <= capacity:
+        return tuple(sorted(int(order[i]) for i in range(n - k, n)))
+    light = oracle_subset_sum_tables(weights[:half])
+    heavy = oracle_subset_sum_tables(weights[half:])
+    best_value = -math.inf
+    best_light = best_heavy = 0
+    for heavy_size, (heavy_sums, heavy_codes) in heavy.items():
+        light_size = k - heavy_size
+        if light_size < 0 or light_size > half:
+            continue
+        light_sums, light_codes = light[light_size]
+        pos = np.searchsorted(light_sums, capacity - heavy_sums, side="right") - 1
+        valid = pos >= 0
+        if not valid.any():
+            continue
+        values = np.where(valid, light_sums[np.maximum(pos, 0)] + heavy_sums, -np.inf)
+        top = int(np.argmax(values))
+        if values[top] > best_value:
+            best_value = float(values[top])
+            best_light = int(light_codes[pos[top]])
+            best_heavy = int(heavy_codes[top])
+    if best_value == -math.inf:
+        return tuple(sorted(int(i) for i in order[:k]))
+    chosen = [j for j in range(half) if best_light >> j & 1]
+    chosen += [half + j for j in range(n - half) if best_heavy >> j & 1]
+    return tuple(sorted(int(order[i]) for i in chosen))
+
+
+ROUND_PROBS = [0.0, 0.05, 0.1, 0.5, 0.95, 1.0]
+
+
+@st.composite
+def equivalence_cases(draw):
+    probs = draw(st.one_of(
+        st.lists(st.sampled_from(ROUND_PROBS), min_size=1, max_size=14),
+        st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=1.0), st.integers(1, 2)).map(
+                lambda p: round(*p)
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+    ))
+    k = draw(st.integers(min_value=0, max_value=len(probs)))
+    weights = sorted(probs)
+    subsets = list(itertools.combinations(range(len(probs)), k))
+    members = [weights[i] for i in draw(st.sampled_from(subsets))]
+    in_order = 0.0
+    for weight in members:
+        in_order += weight
+    capacity = draw(st.one_of(
+        st.floats(min_value=-0.5, max_value=len(probs) + 0.5),
+        # capacities on subset masses, summed in index order or otherwise
+        st.sampled_from([in_order, math.fsum(members), float(np.sum(members))]),
+    ))
+    return probs, k, capacity
+
+
+class TestKnapsackEquivalence:
+    """The streamed knapsack returns the picks of the two-table one, exactly."""
+
+    @given(equivalence_cases(), st.sampled_from([1, 2, 3, 16]))
+    @example(case=([0.0, 0.0, 0.0, 0.1, 0.1, 0.3, 0.3, 0.3], 6, 0.5), block_bits=16)
+    @example(case=([1.0, 0.7, 0.2], 2, 1.9 - 1.0), block_bits=16)
+    @example(case=([0.2, 0.8, 0.1, 0.9, 0.3, 0.3, 0.4], 7, 3.0), block_bits=16)
+    # heavy subsets of one block and size tie at the best mass: the lighter wins
+    @example(case=([0.42, 0.68, 0.29, 0.14, 0.19, 0.02, 0.69, 0.99, 0.09, 0.17, 0.8, 0.64,
+                    0.95, 0.36, 0.43, 0.29, 0.8, 0.19, 0.38, 0.66], 7, 3.33), block_bits=16)
+    @settings(max_examples=300, deadline=None)
+    def test_best_matches_two_table_oracle(self, case, block_bits):
+        probs, k, capacity = case
+        # small blocks stream a small heavy half in several blocks, as n > 32 does
+        with mock.patch.object(tmodel, "_SUBSET_BLOCK_BITS", block_bits):
+            got = tmodel._Knapsack(np.asarray(probs, dtype=float)).best(k, capacity)
+        assert got == oracle_best(probs, k, capacity)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solvers_match_two_table_oracle_past_one_block(self, seed):
+        # 34 workers: a heavy half of 17, streamed in two blocks
+        rng = np.random.default_rng(seed)
+        probs = rng.choice(ROUND_PROBS, 34) if seed else rng.uniform(0, 1, 34)
+        pool = CandidatePool.from_probs(probs)
+        for k in (5, 17, 29):
+            window = DemandWindow(theta1=2, theta0=2, k=k)
+            for capacity in (pbd.poisson_window_peak(window), pbd.binomial_window_peak(k, window)[1]):
+                knapsack = tmodel._Knapsack(pool.probs)
+                rest = float(pool.probs.sum()) - capacity
+                assert knapsack.best(k, capacity) == oracle_best(probs, k, capacity)
+                assert knapsack.best(34 - k, rest) == oracle_best(probs, 34 - k, rest)
 
 
 def traced_peak_mb(call) -> float:
@@ -319,7 +445,13 @@ class TestWorkMemory:
         # half-pools of 19 workers: 2^19 subset sums per table
         pool = CandidatePool.from_probs(np.random.default_rng(38).uniform(0, 1, 38))
         window = DemandWindow(theta1=4, theta0=4, k=13)
-        assert traced_peak_mb(lambda: tmodel.select_poisson(pool, window)) <= 32
+        assert traced_peak_mb(lambda: tmodel.select_poisson(pool, window)) <= 12
+
+    def test_knapsack_solver_peak_at_the_limit(self):
+        # 44 workers: a light table of 2^22 sums, the heavy half streamed
+        pool = CandidatePool.from_probs(np.random.default_rng(44).uniform(0, 1, 44))
+        window = DemandWindow(theta1=4, theta0=4, k=13)
+        assert traced_peak_mb(lambda: tmodel.select_poisson(pool, window)) <= 96
 
 
 class TestSelectPoisson:
@@ -680,14 +812,19 @@ class TestInvariantChecks:
             tmodel.exact_select(pool_of(0.2, 0.5, 0.9), DemandWindow(1, 1, 2))
 
     def test_knapsack_without_feasible_pairing(self, monkeypatch):
-        def overflowing_tables(weights):
-            return {
-                size: (np.full(1, np.inf), np.zeros(1, dtype=np.uint32))
-                for size in range(weights.size + 1)
-            }
+        def overflowing_table(weights):
+            return [np.full(1, np.inf) for _ in range(weights.size + 1)]
 
-        monkeypatch.setattr(tmodel, "_subset_sum_tables", overflowing_tables)
+        monkeypatch.setattr(tmodel, "_sorted_subset_sums", overflowing_table)
         with pytest.raises(RuntimeError, match="feasible pairing"):
+            tmodel.exact_knapsack(2, 0.9, pool_of(0.2, 0.3, 0.4, 0.6))
+
+    def test_knapsack_light_sum_without_subset(self, monkeypatch):
+        def foreign_table(weights):
+            return [np.full(1, 0.05) for _ in range(weights.size + 1)]
+
+        monkeypatch.setattr(tmodel, "_sorted_subset_sums", foreign_table)
+        with pytest.raises(RuntimeError, match="light subset"):
             tmodel.exact_knapsack(2, 0.9, pool_of(0.2, 0.3, 0.4, 0.6))
 
     @pytest.mark.parametrize("solver", [tmodel.select_poisson, tmodel.select_binomial])
