@@ -28,6 +28,13 @@ DEFAULT_EXACT_BUDGET_S = 500.0
 
 _FRACTION_RE = re.compile(r"^(\d*)k/(\d+)$")
 
+# Largest pool an experiment may ask for: an S-model matrix of this size
+# holds 128 MB of float64.
+MAX_N = 4096
+MAX_TRIALS = 10_000
+# Fewest workers each model's generator accepts.
+_MIN_N = {"smodel": 2, "tmodel": 1}
+
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit stream seed from a base seed and any labels."""
@@ -161,8 +168,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in solvers.SOLVERS:
             raise ValueError("model must be 'smodel' or 'tmodel'")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        least = _MIN_N[self.model]
+        if not least <= self.n <= MAX_N:
+            raise ValueError(
+                f"config field 'n' must lie in [{least}, {MAX_N}] for {self.model}, got {self.n}"
+            )
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(
+                f"config field 'trials' must lie in [1, {MAX_TRIALS}], got {self.trials}"
+            )
         if any(k < 1 for k in self.ks):
             raise ValueError(f"every k must be at least 1, got {list(self.ks)}")
         unknown = [m for m in self.methods if m not in solvers.SOLVERS[self.model]]

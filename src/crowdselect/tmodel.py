@@ -502,20 +502,32 @@ _DRAW_BLOCK = 1 << 16
 # Largest (pool size)^2 x (frequencies) for which the DFT-CF score keeps a
 # table of per-(outgoing, incoming) factor ratios in Python lists; larger
 # pools score a swap with numpy from a table of factors and reciprocals.
+# The faster path follows the frequency count L = (k + 1) // 2 more than n.
+# us per dftcf-sa step, list / numpy path forced (2 CPUs, Python 3.11, numpy
+# 2.4, median of 5), at n = 60, 80, 100, 120: k = 10 4.1/7.4, 5.1/7.5,
+# 4.5/7.2, 5.0/6.6; k = 20 7.7/8.4, 9.0/7.9, 10.1/8.2, 9.9/7.6. So n = 120,
+# k = 10 and n = 80, k = 20 take the slower path; moving the limit would
+# change the rounding.
 _PAIR_TABLE_LIMIT = 1 << 16
 
 
 class _SwapScore:
     """Annealing state: a k-subset of range(n) and its objective, kept under member swaps.
 
-    The subset lives in two index lists, members and outsiders. A move
+    The subset lives in two index lists, members and outsiders. A step
     exchanges `swaps` members for as many outsiders, picked by a partial
-    Fisher-Yates shuffle of each list's front: for j < swaps,
-    positions[start + j] lies in [j, k) and positions[start + swap_cap + j]
-    in [j, n - k). try_swap moves the picks to the fronts, scores the move in
-    O(swaps) and leaves the subset as it was; accept adopts the last move
-    tried by exchanging the two fronts. resync recomputes the score from
-    scratch, discarding the rounding that incremental updates accumulate.
+    Fisher-Yates shuffle of each list's front: step s reads its picks at
+    start = 2 s swap_cap, and for j < swaps positions[start + j] lies in
+    [j, k) and positions[start + swap_cap + j] in [j, n - k).
+
+    run_block(counts, positions, bars) runs a block of such steps in one
+    loop with all state in locals. Each step moves its picks to the fronts
+    and scores the candidate in O(swaps) from the kept state; it accepts
+    when candidate - value >= bar, exchanging the two fronts, and a rejected
+    step leaves the subset as it was, reordered. Per-step method calls cost
+    as much as the scoring: at n = 20, k = 8 a Normal step took 3.4 us with
+    them and 2.1 us fused. resync recomputes the score from scratch,
+    discarding the rounding that incremental updates accumulate.
     """
 
     def __init__(self, n: int, members: Sequence[int]):
@@ -528,11 +540,6 @@ class _SwapScore:
     def resync(self) -> None:
         self._state = self._from_scratch(self.members)
         self.value = self._value(self._state)
-
-    def accept(self) -> None:
-        swaps, self._state, self.value = self._pending
-        members, outsiders = self.members, self.outsiders
-        members[:swaps], outsiders[:swaps] = outsiders[:swaps], members[:swaps]
 
 
 class _NormalScore(_SwapScore):
@@ -556,22 +563,37 @@ class _NormalScore(_SwapScore):
         # a running variance can end a rounding step below an exact 0
         return pbd.normal_window_raw(mean, math.sqrt(max(var, 0.0)), self._window)
 
-    def try_swap(self, swaps: int, positions: Sequence[int], start: int) -> float:
+    def run_block(self, counts, positions, bars) -> None:
         members, outsiders = self.members, self.outsiders
         probs, var_terms = self._probs, self._var_terms
+        # _value inlined operation for operation, so every candidate is the
+        # same float; sqrt(v) > 0 for every v > 0, so v > 0 decides stddev == 0
+        sqrt, erf, root2 = math.sqrt, math.erf, math.sqrt(2.0)
+        hi = self._window.theta2 + 0.5
+        lo = self._window.theta1 - 0.5
         mean, var = self._state
-        middle = start + self.swap_cap
-        for j in range(swaps):
-            a, b = positions[start + j], positions[middle + j]
-            members[j], members[a] = members[a], members[j]
-            outsiders[j], outsiders[b] = outsiders[b], outsiders[j]
-            o, i = members[j], outsiders[j]
-            mean += probs[i] - probs[o]
-            var += var_terms[i] - var_terms[o]
-        state = mean, var
-        value = self._value(state)
-        self._pending = swaps, state, value
-        return value
+        current = self.value
+        middle = self.swap_cap
+        for swaps, start, bar in zip(counts, range(0, len(positions), 2 * middle), bars):
+            m, v = mean, var
+            mid = start + middle
+            for j in range(swaps):
+                a, b = positions[start + j], positions[mid + j]
+                members[j], members[a] = members[a], members[j]
+                outsiders[j], outsiders[b] = outsiders[b], outsiders[j]
+                o, i = members[j], outsiders[j]
+                m += probs[i] - probs[o]
+                v += var_terms[i] - var_terms[o]
+            if v > 0.0:
+                scale = sqrt(v) * root2
+                candidate = 0.5 * (erf((hi - m) / scale) - erf((lo - m) / scale))
+            else:
+                candidate = 1.0 if lo < m <= hi else 0.0
+            if candidate - current >= bar:
+                members[:swaps], outsiders[:swaps] = outsiders[:swaps], members[:swaps]
+                mean, var, current = m, v, candidate
+        self._state = mean, var
+        self.value = current
 
 
 class _DftcfScore(_SwapScore):
@@ -581,23 +603,24 @@ class _DftcfScore(_SwapScore):
     times z_l, the product over members of 1 - p (1 - w_l); the score is the
     real part of their sum plus WindowKernel.w0, clamped to [0, 1]. A swap
     multiplies in the incoming factors and divides out the outgoing ones, in
-    one of two ways:
+    one of two block loops:
 
     - n^2 L <= _PAIR_TABLE_LIMIT (n workers, L frequencies): the terms are a
       Python list, and each swapped pair multiplies it by a precomputed row
-      of incoming factor over outgoing factor. Python lists beat numpy calls
-      at these sizes: about 3.7 us against 5.5 us per annealing step at
-      n = 20, k = 10.
+      of incoming factor over outgoing factor (_run_pairs): about 3.2 us
+      per step at n = 20, k = 8.
     - larger pools: the terms are a numpy vector, and a (2n, L) table stacks
-      the factor rows on the reciprocal rows. try_swap takes the 2 x swaps
+      the factor rows on the reciprocal rows. A step takes the 2 x swaps
       rows of the move, multiplies them down to one ratio vector and scores
       the move with one dot product against the terms, O(swaps L) in three
-      numpy calls; accept multiplies the ratio in.
+      numpy calls; acceptance multiplies the ratio in (_run_table): about
+      9 us per step at n = 100, k = 20.
 
     A factor vanishes only at p = 1/2 on the Nyquist frequency (k odd); the
     rounded root leaves a residue near 1e-16 there, whose powers underflow
-    once enough such workers are members, so a swap that removes one
-    rebuilds the terms from scratch instead of dividing, on either path.
+    once enough such workers are members, so a step that removes one
+    rebuilds the terms from scratch instead of dividing, on either path. A
+    pool without such a worker skips that test.
     """
 
     def __init__(self, probs: Sequence[float], window: DemandWindow, members: Sequence[int]):
@@ -611,25 +634,22 @@ class _DftcfScore(_SwapScore):
         # 1 - p (1 - w) is exactly 0 only for p = 1/2 at w = -1, the Nyquist
         # frequency that exists for odd k
         self._singular = {i for i, p in enumerate(probs) if p == 0.5 and window.k % 2 == 1}
-        self._inverses = [
-            None if i in self._singular else [1.0 / f for f in row]
+        # a singular worker's reciprocal row is never read: removing it rebuilds
+        nan_row = [math.nan] * len(self._weights)
+        inverses = [
+            nan_row if i in self._singular else [1.0 / f for f in row]
             for i, row in enumerate(self._factors)
         ]
         n = len(self._factors)
         self._pairs = None
         if n * n * len(self._weights) <= _PAIR_TABLE_LIMIT:
             self._pairs = [
-                None if inverse is None else [list(map(mul, row, inverse)) for row in self._factors]
-                for inverse in self._inverses
+                [list(map(mul, row, inverse)) for row in self._factors] for inverse in inverses
             ]
+            self.run_block = self._run_pairs
         else:
-            # a singular worker's reciprocal row is never read: removing it rebuilds
-            nan_row = [math.nan] * len(self._weights)
-            self._table = np.array(
-                self._factors + [nan_row if row is None else row for row in self._inverses]
-            )
-            # chosen once per instance, so the pair-table step pays no branch
-            self.try_swap, self.accept = self._try_swap_table, self._accept_ratio
+            self._table = np.array(self._factors + inverses)
+            self.run_block = self._run_table
         super().__init__(n, members)
 
     def _from_scratch(self, members):
@@ -644,56 +664,60 @@ class _DftcfScore(_SwapScore):
             return 1.0
         return value if value > 0.0 else 0.0
 
-    def try_swap(self, swaps: int, positions: Sequence[int], start: int) -> float:
+    def _run_pairs(self, counts, positions, bars) -> None:
         members, outsiders, pairs = self.members, self.outsiders, self._pairs
-        middle = start + self.swap_cap
-        singular = self._singular
-        rebuild = False
-        # chain lazy element-wise products and build one list at the end
-        terms = self._state
-        for j in range(swaps):
-            a, b = positions[start + j], positions[middle + j]
-            members[j], members[a] = members[a], members[j]
-            outsiders[j], outsiders[b] = outsiders[b], outsiders[j]
-            o, i = members[j], outsiders[j]
-            if o in singular:
-                rebuild = True
+        singular, w0 = self._singular, self._w0
+        terms, current = self._state, self.value
+        middle = self.swap_cap
+        for swaps, start, bar in zip(counts, range(0, len(positions), 2 * middle), bars):
+            # chain lazy element-wise products and build one list at the end;
+            # a singular worker's chain is dropped unread
+            moved = terms
+            mid = start + middle
+            for j in range(swaps):
+                a, b = positions[start + j], positions[mid + j]
+                members[j], members[a] = members[a], members[j]
+                outsiders[j], outsiders[b] = outsiders[b], outsiders[j]
+                moved = map(mul, moved, pairs[members[j]][outsiders[j]])
+            if singular and not singular.isdisjoint(members[:swaps]):
+                moved = self._from_scratch(outsiders[:swaps] + members[swaps:])
             else:
-                terms = map(mul, terms, pairs[o][i])
-        if rebuild:
-            terms = self._from_scratch(outsiders[:swaps] + members[swaps:])
-        else:
-            terms = [*terms]
-        value = self._value(terms)
-        self._pending = swaps, terms, value
-        return value
+                moved = [*moved]
+            value = sum(moved, w0).real
+            candidate = 1.0 if value > 1.0 else value if value > 0.0 else 0.0
+            if candidate - current >= bar:
+                members[:swaps], outsiders[:swaps] = outsiders[:swaps], members[:swaps]
+                terms, current = moved, candidate
+        self._state, self.value = terms, current
 
-    def _try_swap_table(self, swaps: int, positions: Sequence[int], start: int) -> float:
+    def _run_table(self, counts, positions, bars) -> None:
         members, outsiders = self.members, self.outsiders
-        middle = start + self.swap_cap
+        singular, w0 = self._singular, self._w0
+        take, product = self._table.take, np.multiply.reduce
         n = len(self._factors)
-        rows = []
-        for j in range(swaps):
-            a, b = positions[start + j], positions[middle + j]
-            members[j], members[a] = members[a], members[j]
-            outsiders[j], outsiders[b] = outsiders[b], outsiders[j]
-            rows += (outsiders[j], n + members[j])
-        if self._singular.isdisjoint(members[:swaps]):
-            ratio = np.multiply.reduce(self._table.take(rows, axis=0))
-            value = self._w0 + float(self._state.dot(ratio).real)
-            value = 1.0 if value > 1.0 else value if value > 0.0 else 0.0
-            self._pending = swaps, ratio, None, value
-        else:
-            terms = self._from_scratch(outsiders[:swaps] + members[swaps:])
-            value = self._value(terms)
-            self._pending = swaps, None, terms, value
-        return value
-
-    def _accept_ratio(self) -> None:
-        swaps, ratio, terms, self.value = self._pending
-        self._state = self._state * ratio if terms is None else terms
-        members, outsiders = self.members, self.outsiders
-        members[:swaps], outsiders[:swaps] = outsiders[:swaps], members[:swaps]
+        terms, current = self._state, self.value
+        middle = self.swap_cap
+        for swaps, start, bar in zip(counts, range(0, len(positions), 2 * middle), bars):
+            rows = []
+            mid = start + middle
+            for j in range(swaps):
+                a, b = positions[start + j], positions[mid + j]
+                members[j], members[a] = members[a], members[j]
+                outsiders[j], outsiders[b] = outsiders[b], outsiders[j]
+                rows += (outsiders[j], n + members[j])
+            if singular and not singular.isdisjoint(members[:swaps]):
+                ratio = None
+                moved = self._from_scratch(outsiders[:swaps] + members[swaps:])
+                candidate = self._value(moved)
+            else:
+                ratio = product(take(rows, axis=0))
+                value = w0 + float(terms.dot(ratio).real)
+                candidate = 1.0 if value > 1.0 else value if value > 0.0 else 0.0
+            if candidate - current >= bar:
+                members[:swaps], outsiders[:swaps] = outsiders[:swaps], members[:swaps]
+                terms = moved if ratio is None else terms * ratio
+                current = candidate
+        self._state, self.value = terms, current
 
 
 _SWAP_SCORES = {"normal": _NormalScore, "dftcf": _DftcfScore}
@@ -719,7 +743,8 @@ def sa_select(
     incrementally at the same cost and is recomputed from scratch at the end
     of every temperature level to bound rounding drift. Each level draws its
     swap counts, positions and acceptance thresholds T log u in batches, so
-    no exponential is evaluated per step. The initial subset is
+    no exponential is evaluated per step, and hands each batch to one
+    run_block call of the score (_SwapScore). The initial subset is
     sorted(random.Random(seed).sample(range(n), k)); the run is deterministic
     for a fixed params.seed.
     """
@@ -743,7 +768,6 @@ def sa_select(
 
     rng = random.Random(params.seed)
     score = make_score(probs, window, sorted(rng.sample(range(n), k)))
-    try_swap, accept = score.try_swap, score.accept
     draws = np.random.default_rng(rng.getrandbits(64))
     swap_cap = score.swap_cap
     block = max(1, min(params.r, _DRAW_BLOCK // swap_cap))
@@ -757,7 +781,6 @@ def sa_select(
 
     temp = params.t_ini
     while temp > params.t_end:
-        current_score = score.value
         for start in range(0, params.r, block):
             size = min(block, params.r - start)
             counts = draws.integers(1, swap_cap + 1, size).tolist()
@@ -766,11 +789,7 @@ def sa_select(
             # accept iff u < exp(delta / T), i.e. delta > T log u, for u = 1 - random()
             # uniform on (0, 1]; T log u <= 0, so ties and gains always pass
             bars = (temp * np.log1p(-draws.random(size))).tolist()
-            for swaps, offset, bar in zip(counts, range(0, size * stride, stride), bars):
-                candidate_score = try_swap(swaps, positions, offset)
-                if candidate_score - current_score >= bar:
-                    accept()
-                    current_score = candidate_score
+            score.run_block(counts, positions, bars)
         score.resync()
         temp *= params.c
     return _result(pool, window, score.members, score.value, method, started)

@@ -354,11 +354,20 @@ class TestBenchCommand:
               "distribution": {"kind": "normal", "mean": [1, 2]}}, "'distribution'"),
             ({"model": "smodel", "n": 6, "trials": 1, "k": [2],
               "distribution": {"kind": "normal", "mean": float("nan")}}, "'distribution'"),
+            ({"model": "tmodel", "n": 1e9, "trials": 1, "k": [2], "demands": [[1, 1]],
+              "methods": ["random"]}, "'n'"),
+            ({"model": "smodel", "n": 5000, "trials": 1, "k": [2], "methods": ["random"]}, "'n'"),
+            ({"model": "smodel", "n": 6, "trials": 1e9, "k": [2], "methods": ["random"]},
+             "'trials'"),
+            ({"model": "smodel", "n": 1, "trials": 1, "k": [1], "methods": ["random"]}, "'n'"),
+            ({"model": "tmodel", "n": 0, "trials": 1, "k": [1], "demands": [[0, 0]],
+              "methods": ["random"]}, "'n'"),
         ],
         ids=["missing-n", "scalar-k", "distribution-no-kind", "distribution-number",
              "top-level-list", "demand-zero-denominator", "methods-string", "zero-k",
              "sa-seed", "sa-unknown-field", "greedy-k-1", "sa-fractional-r",
-             "distribution-mean-string", "distribution-mean-list", "distribution-mean-nan"],
+             "distribution-mean-string", "distribution-mean-list", "distribution-mean-nan",
+             "n-1e9", "smodel-n-5000", "trials-1e9", "smodel-n-1", "tmodel-n-0"],
     )
     def test_config_error_exit_2_before_any_cell(self, capsys, tmp_path, config, field):
         config_path = tmp_path / "config.json"
@@ -768,6 +777,10 @@ class TestHostileJson:
     @example(config={"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
                      "methods": ["dftcf-sa"], "sa": {"r": 1.5}})
     @example(config={"model": "smodel", "n": float("inf"), "trials": 1, "k": [2]})
+    @example(config={"model": "tmodel", "n": 1e9, "trials": 1, "k": [2], "demands": [[1, 1]],
+                     "methods": ["random"]})
+    @example(config={"model": "smodel", "n": 5000, "trials": 1, "k": [2], "methods": ["random"]})
+    @example(config={"model": "smodel", "n": 6, "trials": 1e9, "k": [2], "methods": ["random"]})
     @example(config={"model": "smodel", "n": 6, "trials": 1, "k": [2], "methods": [[1]]})
     @example(config={"model": "smodel", "n": 6, "trials": 1, "k": [2],
                      "distribution": {"kind": "normal", "mean": "x"}})

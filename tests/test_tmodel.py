@@ -1,7 +1,9 @@
+import copy
 import itertools
 import math
 import random
 import tracemalloc
+from operator import mul
 from unittest import mock
 
 import numpy as np
@@ -640,6 +642,40 @@ def from_scratch_score(objective: str, probs, subset, window: DemandWindow) -> f
     return pbd.normal_window_raw(mean, stddev, window)
 
 
+def subset_after(score, swaps, positions):
+    """The subset that one step with these picks proposes, worked out on copies."""
+    members, outsiders, cap = list(score.members), list(score.outsiders), score.swap_cap
+    for j in range(swaps):
+        a, b = positions[j], positions[cap + j]
+        members[j], members[a] = members[a], members[j]
+        outsiders[j], outsiders[b] = outsiders[b], outsiders[j]
+    return set(outsiders[:swaps] + members[swaps:])
+
+
+def check_step(score, objective, probs, window, swaps, positions, accept):
+    """Run one step through run_block with bars 1e-12 either side of its from-scratch gain.
+
+    The upper bar must reject, leaving the subset and the value as they
+    were; the rejected move's picks then lead both lists, so identity
+    positions retry it, and the lower bar must accept: the incremental
+    candidate lies within 1e-12 of its from-scratch score. The accepting
+    retry runs on score itself when accept, else on a copy.
+    """
+    members, current = set(score.members), score.value
+    candidate = subset_after(score, swaps, positions)
+    gain = from_scratch_score(objective, probs, candidate, window) - current
+    score.run_block([swaps], positions, [gain + 1e-12])
+    assert set(score.members) == members
+    assert score.value == current
+    trial = score if accept else copy.deepcopy(score)
+    trial.run_block([swaps], list(range(score.swap_cap)) * 2, [gain - 1e-12])
+    assert set(trial.members) == candidate
+    assert set(trial.outsiders) == set(range(len(probs))) - candidate
+    assert abs(trial.value - from_scratch_score(objective, probs, candidate, window)) <= 1e-12
+    assert 0.0 <= trial.value <= 1.0
+    assert set(score.members) == (candidate if accept else members)
+
+
 class TestSwapScore:
     """The incremental annealing scores agree with a from-scratch evaluation."""
 
@@ -662,33 +698,19 @@ class TestSwapScore:
         probs, k = self.POOLS[pool_name]
         n = len(probs)
         window = DemandWindow(theta1=k // 3, theta0=k // 4, k=k)
-
-        def gap(value, subset):
-            return abs(value - from_scratch_score(objective, probs, subset, window))
-
         rng = random.Random(f"{objective}-{pool_name}")
         score = tmodel._SWAP_SCORES[objective](probs, window, rng.sample(range(n), k))
-        members = set(score.members)
-        assert gap(score.value, members) <= 1e-12
+        assert abs(score.value - from_scratch_score(objective, probs, score.members, window)) <= 1e-12
         cap = score.swap_cap
         for step in range(400):
             swaps = rng.randint(1, cap)
             positions = [rng.randrange(j, k) for j in range(cap)]
             positions += [rng.randrange(j, n - k) for j in range(cap)]
-            value = score.try_swap(swaps, positions, 0)
-            assert set(score.members) == members  # trying leaves the subset as it was
-            outgoing, incoming = score.members[:swaps], score.outsiders[:swaps]
-            candidate = (members - set(outgoing)) | set(incoming)
-            assert gap(value, candidate) <= 1e-12
-            if rng.random() < 0.5:
-                score.accept()
-                members = candidate
-            assert set(score.members) == members
-            assert set(score.outsiders) == set(range(n)) - members
-            assert gap(score.value, members) <= 1e-12
+            check_step(score, objective, probs, window, swaps, positions, rng.random() < 0.5)
             if step % 100 == 99:
                 score.resync()
-                assert gap(score.value, members) <= 1e-12
+                members = score.members
+                assert abs(score.value - from_scratch_score(objective, probs, members, window)) <= 1e-12
 
     def test_underflowed_nyquist_term_recovers(self):
         # 25 members at p = 1/2 drive the Nyquist product below the smallest
@@ -708,9 +730,7 @@ class TestSwapScore:
         for half, other in zip(range(25), range(25, 50)):
             positions = [score.members.index(half), *padding]
             positions += [score.outsiders.index(other), *padding]
-            value = score.try_swap(1, positions, 0)
-            score.accept()
-            assert abs(value - from_scratch_score("dftcf", probs, score.members, window)) <= 1e-12
+            check_step(score, "dftcf", probs, window, 1, positions, accept=True)
 
     def test_zero_factor_only_at_half_with_odd_k(self):
         probs, k = self.POOLS["nyquist"]
@@ -725,6 +745,161 @@ class TestSwapScore:
             probs, k = self.POOLS[name]
             score = tmodel._DftcfScore(probs, DemandWindow(1, 1, k), range(k))
             assert (score._pairs is not None) == has_table
+
+
+class PerStepScore:
+    """The per-step protocol that run_block replaced, kept as a reference.
+
+    try_swap scores one move from the tables of a _NormalScore or
+    _DftcfScore and leaves the subset as it was; accept adopts the last move
+    tried. The arithmetic is that of the old try_swap methods, operation for
+    operation.
+    """
+
+    def __init__(self, score):
+        self.score = score
+
+    def try_swap(self, swaps, positions, start):
+        score = self.score
+        members, outsiders = score.members, score.outsiders
+        middle = start + score.swap_cap
+        for j in range(swaps):
+            a, b = positions[start + j], positions[middle + j]
+            members[j], members[a] = members[a], members[j]
+            outsiders[j], outsiders[b] = outsiders[b], outsiders[j]
+        moves = list(zip(members[:swaps], outsiders[:swaps]))
+        if isinstance(score, tmodel._NormalScore):
+            mean, var = score._state
+            for o, i in moves:
+                mean += score._probs[i] - score._probs[o]
+                var += score._var_terms[i] - score._var_terms[o]
+            state = mean, var
+            value = score._value(state)
+        elif not score._singular.isdisjoint(members[:swaps]):
+            state = score._from_scratch(outsiders[:swaps] + members[swaps:])
+            value = score._value(state)
+        elif score._pairs is not None:
+            state = score._state
+            for o, i in moves:
+                state = map(mul, state, score._pairs[o][i])
+            state = [*state]
+            value = score._value(state)
+        else:
+            n = len(score._factors)
+            rows = [row for o, i in moves for row in (i, n + o)]
+            ratio = np.multiply.reduce(score._table.take(rows, axis=0))
+            value = score._w0 + float(score._state.dot(ratio).real)
+            value = 1.0 if value > 1.0 else value if value > 0.0 else 0.0
+            state = score._state * ratio
+        self._pending = swaps, state, value
+        return value
+
+    def accept(self):
+        swaps, state, value = self._pending
+        score = self.score
+        score._state, score.value = state, value
+        members, outsiders = score.members, score.outsiders
+        members[:swaps], outsiders[:swaps] = outsiders[:swaps], members[:swaps]
+
+
+def per_step_sa_select(pool, window, objective, params):
+    """sa_select's schedule and draws, scored one step at a time by PerStepScore."""
+    n, k = len(pool), window.k
+    rng = random.Random(params.seed)
+    score = tmodel._SWAP_SCORES[objective](
+        [float(p) for p in pool.probs], window, sorted(rng.sample(range(n), k))
+    )
+    steps = PerStepScore(score)
+    draws = np.random.default_rng(rng.getrandbits(64))
+    cap = score.swap_cap
+    block = max(1, min(params.r, tmodel._DRAW_BLOCK // cap))
+    stride = 2 * cap
+    lows = np.tile(np.arange(cap), 2)
+    spans = np.repeat([k, n - k], cap) - lows
+    temp = params.t_ini
+    while temp > params.t_end:
+        current = score.value
+        for start in range(0, params.r, block):
+            size = min(block, params.r - start)
+            counts = draws.integers(1, cap + 1, size).tolist()
+            picks = draws.random((size, stride)) * spans
+            positions = (picks.astype(np.intp) + lows).ravel().tolist()
+            bars = (temp * np.log1p(-draws.random(size))).tolist()
+            for swaps, offset, bar in zip(counts, range(0, size * stride, stride), bars):
+                candidate = steps.try_swap(swaps, positions, offset)
+                if candidate - current >= bar:
+                    steps.accept()
+                    current = candidate
+        score.resync()
+        temp *= params.c
+    return tuple(sorted(score.members)), score.value
+
+
+# pools for every path of the block loops: the pair table, the numpy table,
+# and p = 1/2 with odd k on each (GOLDEN_LARGE holds 0.5 at index 47)
+GOLDEN_LARGE = [((37 * i + 11) % 100) / 100 for i in range(120)]
+NYQUIST_POOL = [0.5] * 25 + [0.05, 0.95] * 12 + [0.05]
+
+
+@st.composite
+def annealing_cases(draw):
+    n = draw(st.integers(3, 120))
+    k = draw(st.integers(1, min(n - 1, 25)))
+    value = st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), st.floats(0.0, 1.0))
+    probs = draw(st.lists(value, min_size=n, max_size=n))
+    theta1 = draw(st.integers(0, k))
+    theta0 = draw(st.integers(0, k - theta1))
+    params = SaParams(
+        t_end=draw(st.sampled_from([0.3, 0.05])),
+        r=draw(st.sampled_from([1, 7, 40])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return probs, DemandWindow(theta1, theta0, k), params
+
+
+class TestBlockLoops:
+    """run_block takes the decisions, and scores the floats, of the per-step protocol."""
+
+    @given(case=annealing_cases(), objective=st.sampled_from(["normal", "dftcf"]))
+    @example(case=(GOLDEN_LARGE, DemandWindow(8, 8, 21), SaParams(r=200, seed=0)), objective="dftcf")
+    @example(case=(GOLDEN_LARGE, DemandWindow(8, 8, 20), SaParams(t_end=0.05, r=40)), objective="dftcf")
+    @example(case=(NYQUIST_POOL, DemandWindow(3, 12, 25), SaParams(t_end=0.05, r=40)), objective="dftcf")
+    @example(case=(NYQUIST_POOL, DemandWindow(3, 12, 25), SaParams(t_end=0.05, r=40)), objective="normal")
+    @settings(max_examples=120, deadline=None)
+    def test_sa_select_matches_per_step_loop(self, case, objective):
+        probs, window, params = case
+        pool = CandidatePool.from_probs(probs)
+        result = tmodel.sa_select(pool, window, objective, params)
+        indices, value = per_step_sa_select(pool, window, objective, params)
+        assert result.indices == indices
+        assert result.objective == value
+        assert result.tau == pbd.window_prob(pool.probs[list(indices)], window)
+
+    @given(
+        mean=st.floats(-5.0, 60.0),
+        var=st.one_of(st.sampled_from([0.0, -0.0, -1e-17, 5e-324]), st.floats(-1e-12, 50.0)),
+        k=st.integers(1, 50),
+        data=st.data(),
+    )
+    @example(mean=2.0, var=0.0, k=4, data=None)
+    @example(mean=2.5, var=-1e-17, k=4, data=None)
+    @example(mean=3.5, var=5e-324, k=4, data=None)  # on the window's edge, with the least variance
+    @settings(max_examples=300, deadline=None)
+    def test_inlined_normal_formula_is_reference_bit_for_bit(self, mean, var, k, data):
+        if data is None:
+            window = DemandWindow(1, 1, k)
+        else:
+            theta1 = data.draw(st.integers(0, k))
+            window = DemandWindow(theta1, data.draw(st.integers(0, k - theta1)), k)
+        # one step from a zero state swaps in a worker whose terms are the drawn
+        # mean and variance: 0 + (x - 0) is x exactly
+        score = tmodel._NormalScore([0.0, 0.0], window, [0])
+        score._probs, score._var_terms, score._state = [0.0, mean], [0.0, var], (0.0, 0.0)
+        expected = pbd.normal_window_raw(mean, math.sqrt(max(var, 0.0)), window)
+        # a gain exactly at the bar is accepted
+        score.run_block([1], [0, 0], [expected - score.value])
+        assert score.members == [1]
+        assert score.value.hex() == expected.hex()
 
 
 class TestRandomSelect:
