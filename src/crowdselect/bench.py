@@ -144,6 +144,14 @@ def resolve_demand(spec, k: int) -> int:
     return max(0, value)
 
 
+def _json_int(value) -> int:
+    """An integral JSON number; a bool, a fraction or a non-number is an error."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _json_list(value) -> list:
     if not isinstance(value, list):
         raise ValueError(f"expected a list, got {value!r}")
@@ -210,13 +218,13 @@ class ExperimentConfig:
 
         return cls(
             model=get("model", str),
-            n=get("n", int),
-            trials=get("trials", int),
+            n=get("n", _json_int),
+            trials=get("trials", _json_int),
             distribution=get("distribution", DistSpec.parse, "uniform"),
-            ks=get("k", lambda v: tuple(int(k) for k in _json_list(v))),
+            ks=get("k", lambda v: tuple(_json_int(k) for k in _json_list(v))),
             demands=get("demands", lambda v: tuple((t1, t0) for t1, t0 in _json_list(v)), []),
             methods=get("methods", lambda v: tuple(str(m) for m in _json_list(v)), []),
-            seed=get("seed", int, 0),
+            seed=get("seed", _json_int, 0),
             exact_budget_s=get("exact_budget_s", float, DEFAULT_EXACT_BUDGET_S),
             sa_params=get("sa", dict, {}),
         )

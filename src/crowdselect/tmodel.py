@@ -136,8 +136,9 @@ def _check_feasible(pool: CandidatePool, window: DemandWindow) -> None:
 
 
 # Entries per work array of exact enumeration: a (rows, k) block holds about
-# this many, 1 MB as complex values.
-_WORK_ENTRIES = 1 << 16
+# this many, 0.5 MB as complex values (tau_many's factor buffer) and 0.25 MB
+# as probabilities.
+_WORK_ENTRIES = 1 << 15
 # Memory the cached enumerations may hold together.
 _CACHE_BYTES = 64 << 20
 # least recently used first; the arrays together stay within _CACHE_BYTES
@@ -147,18 +148,20 @@ _combo_cache: dict[tuple[int, int], np.ndarray] = {}
 def _index_combo_blocks(n: int, k: int) -> Iterator[np.ndarray]:
     """Yield (m, k) index arrays covering all combinations in lexicographic order.
 
-    Each block holds about _WORK_ENTRIES indices. Small enumerations are
-    materialized once and cached, because benchmark loops re-enumerate the
-    same few (n, k) for every trial, often alternating between them. The cache
-    holds several entries within _CACHE_BYTES in total and evicts the least
-    recently used.
+    Indices have the narrowest unsigned type that holds n - 1: one byte for
+    pools of up to 256 workers. Each block holds about _WORK_ENTRIES indices.
+    Small enumerations are materialized once and cached, because benchmark
+    loops re-enumerate the same few (n, k) for every trial, often alternating
+    between them. The cache holds several entries within _CACHE_BYTES in total
+    and evicts the least recently used.
     """
     key = (n, k)
     rows = max(1, _WORK_ENTRIES // k)
+    dtype = np.min_scalar_type(n - 1)
     cached = _combo_cache.pop(key, None)
     if cached is None:
         total = math.comb(n, k)
-        size = total * k * 2
+        size = total * k * dtype.itemsize
         if size <= _CACHE_BYTES:
             # evict before building, so old and new never exceed the budget together
             held = sum(a.nbytes for a in _combo_cache.values())
@@ -166,7 +169,7 @@ def _index_combo_blocks(n: int, k: int) -> Iterator[np.ndarray]:
                 held -= _combo_cache.pop(next(iter(_combo_cache))).nbytes
             cached = np.fromiter(
                 itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-                dtype=np.int16,
+                dtype=dtype,
                 count=total * k,
             ).reshape(total, k)
         else:
@@ -175,7 +178,7 @@ def _index_combo_blocks(n: int, k: int) -> Iterator[np.ndarray]:
                 block = list(itertools.islice(source, rows))
                 if not block:
                     return
-                yield np.asarray(block, dtype=np.int16)
+                yield np.asarray(block, dtype=dtype)
     _combo_cache[key] = cached
     for start in range(0, len(cached), rows):
         yield cached[start : start + rows]
@@ -190,7 +193,9 @@ def exact_select(
 
     Ties resolve to the first subset in lexicographic index order. Guarded by
     the enumeration limit and an optional wall-clock budget, checked after
-    each block of about _WORK_ENTRIES indices.
+    each block of about _WORK_ENTRIES indices. Each block needs about 0.8 MB
+    of work arrays beside the combination cache, whose one-byte indices hold
+    C(20, 10) in 1.8 MB.
     """
     started = time.perf_counter()
     _check_feasible(pool, window)

@@ -108,6 +108,22 @@ class TestDeriveSeed:
         assert bench.derive_seed(1, "data", 0) != bench.derive_seed(2, "data", 0)
 
 
+class TestConfigIntegers:
+    BASE = {"model": "smodel", "n": 6, "trials": 2, "k": [2], "methods": ["random"], "seed": 1}
+
+    @pytest.mark.parametrize("key", ["n", "trials", "k", "seed"])
+    @pytest.mark.parametrize("value", [6.7, 1.9, True, "6", float("inf")])
+    def test_non_integers_rejected(self, key, value):
+        raw = dict(self.BASE, **{key: [value] if key == "k" else value})
+        with pytest.raises(ValueError, match=f"config field '{key}': expected an integer"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_integral_floats_accepted(self):
+        config = ExperimentConfig.from_dict(dict(self.BASE, n=6.0, trials=2.0, k=[2.0], seed=1.0))
+        assert (config.n, config.trials, config.ks, config.seed) == (6, 2, (2,), 1)
+        assert all(type(v) is int for v in (config.n, config.trials, *config.ks, config.seed))
+
+
 def smodel_config(**overrides):
     base = dict(
         model="smodel",

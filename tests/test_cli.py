@@ -168,6 +168,19 @@ class TestSelectT:
         code, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_exact_on_pool_past_int16_indices(self, capsys, tmp_path):
+        path = tmp_path / "pool.csv"
+        rows = [f"w{i},{0.9 if i == 39_000 else 0.1}" for i in range(40_000)]
+        path.write_text("worker_id,p\n" + "\n".join(rows) + "\n")
+        code, out, _ = run(
+            capsys, "select", "t", "--pool", str(path), "-k", "1",
+            "--theta1", "1", "--theta0", "0", "--method", "exact",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["subset"] == ["w39000"]
+        assert payload["indices"] == [39_000]
+
     def test_pool_and_probs_mutually_exclusive(self, capsys, pool_file):
         code, _, err = run(
             capsys, "select", "t", "--pool", str(pool_file), "--probs", "0.5",
@@ -362,12 +375,17 @@ class TestBenchCommand:
             ({"model": "smodel", "n": 1, "trials": 1, "k": [1], "methods": ["random"]}, "'n'"),
             ({"model": "tmodel", "n": 0, "trials": 1, "k": [1], "demands": [[0, 0]],
               "methods": ["random"]}, "'n'"),
+            ({"model": "smodel", "n": 6.7, "trials": 1, "k": [2], "methods": ["random"]}, "'n'"),
+            ({"model": "smodel", "n": 6, "trials": 1.9, "k": [2], "methods": ["random"]},
+             "'trials'"),
+            ({"model": "smodel", "n": 6, "trials": 1, "k": [2.5], "methods": ["random"]}, "'k'"),
         ],
         ids=["missing-n", "scalar-k", "distribution-no-kind", "distribution-number",
              "top-level-list", "demand-zero-denominator", "methods-string", "zero-k",
              "sa-seed", "sa-unknown-field", "greedy-k-1", "sa-fractional-r",
              "distribution-mean-string", "distribution-mean-list", "distribution-mean-nan",
-             "n-1e9", "smodel-n-5000", "trials-1e9", "smodel-n-1", "tmodel-n-0"],
+             "n-1e9", "smodel-n-5000", "trials-1e9", "smodel-n-1", "tmodel-n-0",
+             "n-fraction", "trials-fraction", "k-fraction"],
     )
     def test_config_error_exit_2_before_any_cell(self, capsys, tmp_path, config, field):
         config_path = tmp_path / "config.json"
@@ -782,6 +800,8 @@ class TestHostileJson:
     @example(config={"model": "smodel", "n": 5000, "trials": 1, "k": [2], "methods": ["random"]})
     @example(config={"model": "smodel", "n": 6, "trials": 1e9, "k": [2], "methods": ["random"]})
     @example(config={"model": "smodel", "n": 6, "trials": 1, "k": [2], "methods": [[1]]})
+    @example(config={"model": "smodel", "n": 6.7, "trials": 1.9, "k": [2.5],
+                     "methods": ["random"]})
     @example(config={"model": "smodel", "n": 6, "trials": 1, "k": [2],
                      "distribution": {"kind": "normal", "mean": "x"}})
     @example(config={"model": "smodel", "n": 6, "trials": 1, "k": [2],

@@ -96,6 +96,36 @@ class TestExactSelect:
         with pytest.raises(TimeBudgetError):
             tmodel.exact_select(pool, DemandWindow(3, 3, 12), time_budget_s=0.0)
 
+    def test_pool_past_int16_indices(self):
+        # index 32,768 and beyond must survive the combination enumeration
+        probs = np.full(40_000, 0.1)
+        probs[39_000] = 0.9
+        result = tmodel.exact_select(CandidatePool.from_probs(probs), DemandWindow(1, 0, 1))
+        assert result.indices == (39_000,)
+        assert result.tau == 0.9
+
+    @given(
+        probs=st.lists(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), min_size=2, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_size_does_not_change_the_pick(self, probs, data):
+        # tie-heavy pools put equal window probabilities on both sides of block
+        # edges, where the first subset in lexicographic order must still win
+        k = data.draw(st.integers(1, len(probs)))
+        theta1 = data.draw(st.integers(0, k))
+        theta0 = data.draw(st.integers(0, k - theta1))
+        pool, window = pool_of(*probs), DemandWindow(theta1, theta0, k)
+        expected = tmodel.exact_select(pool, window)
+        for entries in (1 << 6, 1 << 10):
+            for cache_bytes in (tmodel._CACHE_BYTES, 0):
+                with mock.patch.object(tmodel, "_WORK_ENTRIES", entries), \
+                        mock.patch.object(tmodel, "_CACHE_BYTES", cache_bytes), \
+                        mock.patch.object(tmodel, "_combo_cache", {}):
+                    result = tmodel.exact_select(pool, window)
+                assert result.indices == expected.indices
+                assert float.hex(result.tau) == float.hex(expected.tau)
+
 
 class TestComboCache:
     def test_alternating_keys_reuse_arrays(self, monkeypatch):
@@ -109,15 +139,37 @@ class TestComboCache:
 
     def test_evicts_least_recently_used(self, monkeypatch):
         monkeypatch.setattr(tmodel, "_combo_cache", {})
-        sizes = {key: math.comb(*key) * key[1] * 2 for key in [(10, 4), (12, 5), (11, 3)]}
+        # one byte per index
+        sizes = {key: math.comb(*key) * key[1] for key in [(10, 4), (12, 5), (11, 3)]}
         # room for the two largest entries, not for all three
         budget = sizes[(12, 5)] + sizes[(10, 4)]
         monkeypatch.setattr(tmodel, "_CACHE_BYTES", budget)
         for key in [(10, 4), (12, 5), (10, 4), (11, 3)]:
             list(tmodel._index_combo_blocks(*key))
+            assert key in tmodel._combo_cache
             assert sum(a.nbytes for a in tmodel._combo_cache.values()) <= budget
         # (12, 5) was used least recently, so it made room for (11, 3)
         assert list(tmodel._combo_cache) == [(10, 4), (11, 3)]
+
+    def test_cached_enumeration_is_one_byte_per_index(self, monkeypatch):
+        monkeypatch.setattr(tmodel, "_combo_cache", {})
+        list(tmodel._index_combo_blocks(20, 10))
+        cached = tmodel._combo_cache[(20, 10)]
+        assert cached.dtype == np.uint8
+        assert cached.nbytes == math.comb(20, 10) * 10 == 1_847_560
+
+    @pytest.mark.parametrize(
+        "n,dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16)]
+    )
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "streamed"])
+    def test_narrowest_index_type(self, monkeypatch, n, dtype, cached):
+        monkeypatch.setattr(tmodel, "_combo_cache", {})
+        if not cached:
+            monkeypatch.setattr(tmodel, "_CACHE_BYTES", 0)
+        blocks = list(tmodel._index_combo_blocks(n, 1))
+        assert all(block.dtype == dtype for block in blocks)
+        assert blocks[-1][-1, 0] == n - 1
+        assert sum(len(block) for block in blocks) == n
 
 
 class TestExactKnapsack:
@@ -441,7 +493,7 @@ class TestWorkMemory:
         pool = CandidatePool.from_probs(np.random.default_rng(20).uniform(0, 1, 20))
         window = DemandWindow(theta1=3, theta0=3, k=10)
         tmodel.exact_select(pool, window)  # the cached combinations are not work memory
-        assert traced_peak_mb(lambda: tmodel.exact_select(pool, window)) <= 8
+        assert traced_peak_mb(lambda: tmodel.exact_select(pool, window)) <= 2
 
     def test_knapsack_solver_peak(self):
         # half-pools of 19 workers: 2^19 subset sums per table
