@@ -197,9 +197,10 @@ class ExperimentConfig:
         for pair in self.demands:
             for spec in pair:
                 resolve_demand(spec, 1)
+        # rejects a bad value, an unknown field, a seed, or an integer past the float range
         try:
             tmodel.SaParams(seed=0, **self.sa_params)
-        except (TypeError, ValueError) as err:  # a bad value, an unknown field, or a seed
+        except (TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"sa: {err}") from None
 
     @classmethod

@@ -17,6 +17,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 SMOOTHING = 1e-10
+# Most topics em_fit fits: its word table holds n_topics x vocabulary floats,
+# so an unchecked count would allocate in proportion to one number.
+MAX_TOPICS = 1024
 RELEVANCE_SENTINEL = 1e12
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -225,8 +228,8 @@ def em_fit(
     Deterministic for a fixed seed: priors start uniform, word rows start at
     seeded Dirichlet draws.
     """
-    if n_topics < 1:
-        raise ValueError("need at least one topic")
+    if not 1 <= n_topics <= MAX_TOPICS:
+        raise ValueError(f"n_topics must lie in [1, {MAX_TOPICS}], got {n_topics}")
     if not experiences:
         raise ValueError("need at least one experience collection")
     if any(e.total == 0 for e in experiences):

@@ -71,8 +71,11 @@ class SaParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.t_ini > self.t_end > 0.0:
-            raise ValueError("need t_ini > t_end > 0")
+        # an infinite t_ini stays infinite under cooling, so annealing would never end
+        if not (math.isfinite(self.t_ini) and self.t_ini > self.t_end > 0.0):
+            raise ValueError(
+                f"need finite t_ini > t_end > 0, got {self.t_ini!r} and {self.t_end!r}"
+            )
         if not isinstance(self.r, (int, np.integer)) or self.r < 0:
             raise ValueError(f"sweep count r must be a non-negative integer, got {self.r!r}")
         if not 0.0 < self.c < 1.0:
@@ -232,47 +235,65 @@ KNAPSACK_LIMIT = 44
 # KNAPSACK_LIMIT probabilities differ by far less.
 _MASS_ROUNDING = 1e-9
 
-# Half-pool subsets are enumerated in blocks of 2^_SUBSET_BLOCK_BITS codes.
-_SUBSET_BLOCK_BITS = 16
+# Half-pool subsets are enumerated in blocks of 2^_SUBSET_BLOCK_BITS codes,
+# 0.3 MB of low-bit sums and codes per stream. One select_poisson (2 CPUs,
+# Python 3.11, numpy 2.4, interleaved medians) at n = 38, 40, 42 and 44
+# traces 4.7, 8.7, 16.7 and 32.7 MB and takes 0.04, 0.08, 0.17 and 0.26 s.
+# 2^16 traces 0.6 MB more and is 2-16 % faster; 2^14 traces 0.3 MB less but
+# is 10-53 % slower, since each block and size costs a few numpy calls.
+_SUBSET_BLOCK_BITS = 15
+
+
+def _size_groups(weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Subsets of weights by size: entry s holds the s-subsets' codes and sums, ascending by sum.
+
+    Bit j of a code selects weights[j]. The sums fill by doubling: the codes
+    with bit j set are those below 2^j plus weights[j], so each sum adds its
+    members in index order. Codes have the narrowest unsigned type that holds
+    them.
+    """
+    sums = np.zeros(1 << weights.size)
+    sizes = np.zeros(1 << weights.size, dtype=np.int8)
+    for j, weight in enumerate(weights):
+        low, high = 1 << j, 2 << j
+        np.add(sums[:low], weight, out=sums[low:high])
+        np.add(sizes[:low], 1, out=sizes[low:high])
+    dtype = np.min_scalar_type(sums.size - 1)
+    groups = []
+    for size in range(weights.size + 1):
+        codes = np.flatnonzero(sizes == size)
+        codes = codes[np.argsort(sums[codes])]
+        groups.append((codes.astype(dtype), sums[codes]))
+    return groups
 
 
 def _subset_sum_blocks(
-    weights: np.ndarray, descending: bool = False
+    weights: np.ndarray, sizes: range, descending: bool = False
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Every subset of weights once, as groups (size, base, low codes, sums).
+    """Each subset of weights with a size in sizes, as groups (size, base, low codes, sums).
 
     Bit j of a code selects weights[j]. The codes split into blocks of
     2^_SUBSET_BLOCK_BITS that share their high bits (base); a group is the
-    subsets of one block and one size, its codes base | low codes ascending.
-    A table of low-bit sums fills by doubling: the codes with bit j set are
-    those below 2^j plus weights[j]. A block adds its high-bit weights to it
-    in index order, so every sum adds its members in index order, one IEEE
-    addition per member, and is the same on every platform. On pools of
-    round probabilities many subsets share a mass, and the last bit of a sum
-    decides which of them a knapsack query returns. Blocks come in ascending
-    code order, or descending when asked.
+    subsets of one block and one size, its codes base | low codes, ascending
+    by sum (the order of equal sums is unspecified). A block adds its
+    high-bit weights to the low-bit sums of _size_groups in index order, so
+    every sum adds its members in index order, one IEEE addition per member,
+    and is the same on every platform. On pools of round probabilities many
+    subsets share a mass, and the last bit of a sum decides which of them a
+    knapsack query returns. Blocks come in ascending code order, or
+    descending when asked.
     """
     bits = min(weights.size, _SUBSET_BLOCK_BITS)
-    low_sums = np.zeros(1 << bits)
-    low_sizes = np.zeros(1 << bits, dtype=np.int8)
-    for j, weight in enumerate(weights[:bits]):
-        low, high = 1 << j, 2 << j
-        np.add(low_sums[:low], weight, out=low_sums[low:high])
-        np.add(low_sizes[:low], 1, out=low_sizes[low:high])
-    low_codes = np.argsort(low_sizes, kind="stable")
-    low_sums = low_sums[low_codes]
-    bounds = np.cumsum([0] + [math.comb(bits, size) for size in range(bits + 1)])
+    groups = _size_groups(weights[:bits])
     high_weights = [float(weight) for weight in weights[bits:]]
     highs = range(1 << len(high_weights))
     for high in reversed(highs) if descending else highs:
-        sums = low_sums.copy()
-        members = 0
-        for j, weight in enumerate(high_weights):
-            if high >> j & 1:
-                sums += weight
-                members += 1
-        for size, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            yield size + members, high << bits, low_codes[lo:hi], sums[lo:hi]
+        members = [weight for j, weight in enumerate(high_weights) if high >> j & 1]
+        for size, (low_codes, sums) in enumerate(groups):
+            if size + len(members) in sizes:
+                for weight in members:
+                    sums = sums + weight
+                yield size + len(members), high << bits, low_codes, sums
 
 
 def _sorted_subset_sums(weights: np.ndarray) -> list[np.ndarray]:
@@ -282,7 +303,7 @@ def _sorted_subset_sums(weights: np.ndarray) -> list[np.ndarray]:
     starts = np.cumsum([0] + [math.comb(m, size) for size in range(m + 1)])
     by_size = [table[lo:hi] for lo, hi in zip(starts[:-1], starts[1:])]
     filled = [0] * (m + 1)
-    for size, _, _, sums in _subset_sum_blocks(weights):
+    for size, _, _, sums in _subset_sum_blocks(weights, range(m + 1)):
         by_size[size][filled[size] : filled[size] + sums.size] = sums
         filled[size] += sums.size
     for sums in by_size:
@@ -292,11 +313,11 @@ def _sorted_subset_sums(weights: np.ndarray) -> list[np.ndarray]:
 
 def _largest_code(weights: np.ndarray, size: int, total: float) -> int:
     """Largest code of a size-subset of weights whose index-order sum is total."""
-    for group_size, base, low_codes, sums in _subset_sum_blocks(weights, descending=True):
-        if group_size == size:
-            hits = np.flatnonzero(sums == total)
-            if hits.size:
-                return base | int(low_codes[hits[-1]])
+    groups = _subset_sum_blocks(weights, range(size, size + 1), descending=True)
+    for _, base, low_codes, sums in groups:
+        hits = np.flatnonzero(sums == total)
+        if hits.size:
+            return base | int(low_codes[hits].max())
     raise RuntimeError("a chosen light sum is the sum of a light subset")
 
 
@@ -323,11 +344,15 @@ class _Knapsack:
     capacity (Schroeppel & Shamir 1981 enumerate the second side in order
     the same way). The Poisson and Binomial solvers ask for k items under
     the peak capacity and for n - k items under the rest of the mass, and
-    build the light table once. One select_poisson on a 2-CPU machine
-    (Python 3.11, numpy 2.4) traces a peak of 7, 11, 19 and 35 MB and takes
-    0.07, 0.13, 0.24 and 0.38 s at n = 38, 40, 42 and 44; with both halves
-    stored and sorted it was 23, 45, 90 and 180 MB and 0.14, 0.33, 0.69 and
-    1.7 s.
+    build the light table once. Each stream's groups come ascending by sum,
+    so the budgets capacity - heavy search the light table in order. A
+    query frees its heavy stream before it streams the light half again to
+    recover the light code, so beside the light table a solve holds one
+    stream's blocks at a time. One select_poisson on a 2-CPU machine
+    (Python 3.11, numpy 2.4) traces a peak of 4.7, 8.7, 16.7 and 32.7 MB and
+    takes 0.04, 0.08, 0.17 and 0.26 s at n = 38, 40, 42 and 44; with both
+    halves stored and sorted it was 23, 45, 90 and 180 MB and 0.14, 0.33,
+    0.69 and 1.7 s.
     """
 
     def __init__(self, probs: np.ndarray):
@@ -360,12 +385,34 @@ class _Knapsack:
             return tuple(sorted(int(order[i]) for i in range(n - k, n)))
         if self._light is None:
             self._light = _sorted_subset_sums(self._weights[:half])
-        light, heavy_weights = self._light, self._weights[half:]
+        pairing = self._best_pairing(k, capacity)
+        if pairing is None:
+            # rounding in the budgets capacity - heavy rejects every pairing only
+            # when each k-subset weighs the capacity to within rounding; the k
+            # lightest, which fit by the first check, are then the answer. The
+            # lightest heavy subset of a size is its first members, summed in order.
+            light_size = min(k, half)
+            heavy_least = reduce(add, self._weights[half : half + k - light_size].tolist(), 0.0)
+            lightest = self._light[light_size][0] + heavy_least
+            if not lightest <= capacity + _MASS_ROUNDING:
+                raise RuntimeError("minimal-load check guarantees a feasible pairing")
+            return self.lightest(k)[0]
+        heavy_code, light_size, light_sum = pairing
+        light_code = _largest_code(self._weights[:half], light_size, light_sum)
+        chosen = _code_to_indices(light_code, 0) + _code_to_indices(heavy_code, half)
+        return tuple(sorted(int(order[i]) for i in chosen))
+
+    def _best_pairing(self, k: int, capacity: float) -> tuple[int, int, float] | None:
+        """(heavy code, light size, light sum) of best()'s pick, or None if nothing pairs.
+
+        Streams the heavy half; its block arrays are freed on return, before
+        _largest_code streams the light half.
+        """
+        light, half = self._light, self._half
         best_key = best_light = None
-        for heavy_size, base, low_codes, heavy_sums in _subset_sum_blocks(heavy_weights):
+        heavy_groups = _subset_sum_blocks(self._weights[half:], range(k - half, k + 1))
+        for heavy_size, base, low_codes, heavy_sums in heavy_groups:
             light_size = k - heavy_size
-            if light_size < 0 or light_size > half:
-                continue
             light_sums = light[light_size]
             pos = np.searchsorted(light_sums, capacity - heavy_sums, side="right") - 1
             values = np.where(pos >= 0, light_sums[np.maximum(pos, 0)] + heavy_sums, -np.inf)
@@ -373,24 +420,13 @@ class _Knapsack:
             if value == -math.inf or (best_key is not None and -value > best_key[0]):
                 continue
             ties = np.flatnonzero(values == value)
-            top = int(ties[np.argmin(heavy_sums[ties])])
-            key = (-value, heavy_size, float(heavy_sums[top]), base | int(low_codes[top]))
+            least = heavy_sums[ties].min()
+            ties = ties[heavy_sums[ties] == least]
+            top = int(ties[np.argmin(low_codes[ties])])
+            key = (-value, heavy_size, float(least), base | int(low_codes[top]))
             if best_key is None or key < best_key:
                 best_key, best_light = key, (light_size, float(light_sums[pos[top]]))
-        if best_key is None:
-            # rounding in the budgets capacity - heavy rejects every pairing only
-            # when each k-subset weighs the capacity to within rounding; the k
-            # lightest, which fit by the first check, are then the answer. The
-            # lightest heavy subset of a size is its first members, summed in order.
-            light_size = min(k, half)
-            heavy_least = reduce(add, heavy_weights[: k - light_size].tolist(), 0.0)
-            lightest = light[light_size][0] + heavy_least
-            if not lightest <= capacity + _MASS_ROUNDING:
-                raise RuntimeError("minimal-load check guarantees a feasible pairing")
-            return self.lightest(k)[0]
-        light_code = _largest_code(self._weights[:half], *best_light)
-        chosen = _code_to_indices(light_code, 0) + _code_to_indices(best_key[3], half)
-        return tuple(sorted(int(order[i]) for i in chosen))
+        return None if best_key is None else (best_key[3], *best_light)
 
 
 def exact_knapsack(
@@ -407,7 +443,7 @@ def exact_knapsack(
     the pool in two halves, stores the per-size sorted subset sums of the
     light half and streams the heavy half's subsets against them, which is
     exact in O(2^(n/2)) time and space: at n = 44 a 32 MB table, built in
-    about 0.07 s, and about 0.1 s per query (_Knapsack). One call builds the
+    about 0.07 s, and 0.1-0.14 s per query (_Knapsack). One call builds the
     table; the Poisson and Binomial solvers query one _Knapsack twice instead.
     """
     n = len(pool)

@@ -181,6 +181,16 @@ class TestSelectT:
         assert payload["subset"] == ["w39000"]
         assert payload["indices"] == [39_000]
 
+    @pytest.mark.parametrize("t_ini", ["inf", "nan"])
+    def test_non_finite_t_ini_exit_2(self, capsys, t_ini):
+        # an infinite start temperature never cools below t_end
+        code, _, err = run(
+            capsys, "select", "t", "--probs", "0.1,0.5,0.9,0.3", "-k", "2", "--theta1", "1",
+            "--theta0", "1", "--method", "dftcf-sa", "--t-ini", t_ini,
+        )
+        assert code == 2
+        assert "t_ini" in err
+
     def test_pool_and_probs_mutually_exclusive(self, capsys, pool_file):
         code, _, err = run(
             capsys, "select", "t", "--pool", str(pool_file), "--probs", "0.5",
@@ -299,6 +309,13 @@ class TestProfileCommands:
         assert code == 0
         assert len(json.loads(out)["subset"]) == 2
 
+    def test_fit_with_too_many_topics_exit_2(self, capsys, corpus_file):
+        code, _, err = run(
+            capsys, "profile", "fit", "--corpus", str(corpus_file), "-K", "10000000000000"
+        )
+        assert code == 2
+        assert "n_topics" in err
+
     def test_fit_on_broken_model_file(self, capsys, corpus_file, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text("{\"pi\": [1.0]}")
@@ -379,13 +396,15 @@ class TestBenchCommand:
             ({"model": "smodel", "n": 6, "trials": 1.9, "k": [2], "methods": ["random"]},
              "'trials'"),
             ({"model": "smodel", "n": 6, "trials": 1, "k": [2.5], "methods": ["random"]}, "'k'"),
+            ({"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
+              "methods": ["random", "dftcf-sa"], "sa": {"t_ini": float("inf")}}, "sa: "),
         ],
         ids=["missing-n", "scalar-k", "distribution-no-kind", "distribution-number",
              "top-level-list", "demand-zero-denominator", "methods-string", "zero-k",
              "sa-seed", "sa-unknown-field", "greedy-k-1", "sa-fractional-r",
              "distribution-mean-string", "distribution-mean-list", "distribution-mean-nan",
              "n-1e9", "smodel-n-5000", "trials-1e9", "smodel-n-1", "tmodel-n-0",
-             "n-fraction", "trials-fraction", "k-fraction"],
+             "n-fraction", "trials-fraction", "k-fraction", "sa-infinite-t-ini"],
     )
     def test_config_error_exit_2_before_any_cell(self, capsys, tmp_path, config, field):
         config_path = tmp_path / "config.json"
@@ -754,14 +773,33 @@ HOSTILE_CORPUS = "".join(
 )
 
 
+MODEL = {
+    "pi": [0.25, 0.75],
+    "mu": [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]],
+    "vocab": ["a", "b", "c"],
+}
+# whole lines that no edit of a record produces: broken JSON, blank lines,
+# bare values and a byte that is not UTF-8
+RAW_LINES = st.sampled_from(["", " ", "{", "}", "[]", "null", "1", '"x"', "{}", "\udcff"])
+
+
 @st.composite
 def hostile_models(draw):
-    model = {
-        "pi": [0.25, 0.75],
-        "mu": [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]],
-        "vocab": ["a", "b", "c"],
-    }
-    return mutated_json(draw, model)
+    return mutated_json(draw, copy.deepcopy(MODEL))
+
+
+@st.composite
+def hostile_corpora(draw):
+    """HOSTILE_CORPUS after hostile edits to its records, and up to two raw lines."""
+    records = mutated_json(draw, [json.loads(line) for line in HOSTILE_CORPUS.splitlines()])
+    lines = [json.dumps(r) for r in records] if isinstance(records, list) else [json.dumps(records)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(RAW_LINES))
+    return "\n".join(lines) + "\n"
+
+
+def write_corpus(path, corpus):
+    path.write_bytes(corpus.encode("utf-8", "surrogateescape"))
 
 
 @st.composite
@@ -791,6 +829,29 @@ class TestHostileJson:
                              "--model", str(model_path), "--out", str(Path(tmp) / "sim.csv")])
         assert code in (0, 2)
 
+    @given(corpus=hostile_corpora(),
+           topics=st.sampled_from(["-1", "0", "1", "2", "1025", "10000000000000"]))
+    @example(corpus=HOSTILE_CORPUS + "\udcff\n", topics="2")
+    @settings(max_examples=150, deadline=None)
+    def test_profile_fit_on_hostile_corpus_exits_0_or_2(self, corpus, topics):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            write_corpus(path, corpus)
+            code = cli.main(["profile", "fit", "--corpus", str(path), "-K", topics,
+                             "--max-iter", "20", "--out", str(Path(tmp) / "model.json")])
+        assert code in (0, 2)
+
+    @given(corpus=hostile_corpora())
+    @settings(max_examples=150, deadline=None)
+    def test_profile_similarity_on_hostile_corpus_exits_0_or_2(self, corpus):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, model_path = Path(tmp) / "corpus.jsonl", Path(tmp) / "model.json"
+            write_corpus(path, corpus)
+            model_path.write_text(json.dumps(MODEL))
+            code = cli.main(["profile", "similarity", "--corpus", str(path),
+                             "--model", str(model_path), "--out", str(Path(tmp) / "sim.csv")])
+        assert code in (0, 2)
+
     @given(config=hostile_configs())
     @example(config={"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
                      "methods": ["dftcf-sa"], "sa": {"r": 1.5}})
@@ -808,6 +869,10 @@ class TestHostileJson:
                      "distribution": {"kind": "normal", "mean": [1, 2]}})
     @example(config={"model": "smodel", "n": 6, "trials": 1, "k": [2],
                      "distribution": {"kind": "normal", "mean": float("nan")}})
+    @example(config={"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
+                     "methods": ["dftcf-sa"], "sa": {"t_ini": float("inf")}})
+    @example(config={"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
+                     "methods": ["dftcf-sa"], "sa": {"t_ini": 10**400}})
     @settings(max_examples=150, deadline=None)
     def test_bench_run_exits_0_or_2(self, config):
         with tempfile.TemporaryDirectory() as tmp:

@@ -152,6 +152,13 @@ class TestEmFit:
         with pytest.raises(ValueError):
             profiles.em_fit([Experience(counts={})], n_topics=1)
 
+    def test_topic_count_bounded(self):
+        # the word table holds n_topics x vocabulary floats
+        with pytest.raises(ValueError, match="n_topics"):
+            profiles.em_fit([experience("a")], n_topics=profiles.MAX_TOPICS + 1)
+        model = profiles.em_fit([experience("a")], n_topics=profiles.MAX_TOPICS, max_iter=1)
+        assert model.mu.shape == (profiles.MAX_TOPICS, 1)
+
 
 class TestTopicPosterior:
     def test_single_topic(self):
