@@ -9,11 +9,10 @@ benchmark harness reproduces the synthetic experiments.
 """
 
 from .errors import DegenerateWindowError, EnumerationLimitError, TimeBudgetError
-from .pbd import ApproximationStats, DemandWindow, WindowKernel
+from .pbd import DemandWindow, WindowKernel
 from .tmodel import CandidatePool, SaParams, SelectionResult
 
 __all__ = [
-    "ApproximationStats",
     "CandidatePool",
     "DegenerateWindowError",
     "DemandWindow",

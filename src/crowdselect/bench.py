@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import smodel, solvers, tmodel
+from . import pbd, smodel, solvers, tmodel
 from .errors import EnumerationLimitError, TimeBudgetError
 from .pbd import DemandWindow
 
@@ -28,9 +28,10 @@ DEFAULT_EXACT_BUDGET_S = 500.0
 
 _FRACTION_RE = re.compile(r"^(\d*)k/(\d+)$")
 
-# Largest pool an experiment may ask for: an S-model matrix of this size
-# holds 128 MB of float64.
-MAX_N = 4096
+# Largest pool an experiment may ask for: the most workers pmf_dftcf takes,
+# which scores every T-model crowd, and an S-model matrix of this size holds
+# 128 MB of float64.
+MAX_N = pbd.DFTCF_LIMIT
 MAX_TRIALS = 10_000
 # Fewest workers each model's generator accepts.
 _MIN_N = {"smodel": 2, "tmodel": 1}

@@ -10,7 +10,7 @@ class DegenerateWindowError(ValueError):
 
 
 class EnumerationLimitError(ValueError):
-    """Raised when an exact method would enumerate more subsets than its guard allows."""
+    """Raised when an exact method would take more subsets or workers than its guard allows."""
 
 
 class TimeBudgetError(RuntimeError):

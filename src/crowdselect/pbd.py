@@ -22,6 +22,10 @@ from .errors import DegenerateWindowError, EnumerationLimitError
 # Guard for pmf_bruteforce: enumerating 2**25 subsets is the practical ceiling.
 BRUTEFORCE_LIMIT = 25
 
+# Guard for pmf_dftcf, whose cost grows as n^2: 0.4 s at 4096 workers, 1.9 s
+# at 8192.
+DFTCF_LIMIT = 4096
+
 # Imaginary residue allowed in the DFT output before it is discarded.
 IMAG_TOL = 1e-9
 
@@ -72,39 +76,6 @@ class DemandWindow:
         return self.theta2 - self.theta1
 
 
-@dataclass(frozen=True)
-class ApproximationStats:
-    """Moments of a selected set's opinion probabilities.
-
-    mean is both the Poisson rate and the Normal mean of the positive-opinion
-    count; stddev is the Normal standard deviation sqrt(sum p(1-p)); mean_prob
-    is the Binomial success probability mean / size.
-    """
-
-    mean: float
-    stddev: float
-    size: int
-
-    def __post_init__(self):
-        if self.stddev < 0.0:
-            raise ValueError("stddev must be non-negative")
-        if not 0.0 <= self.mean <= self.size:
-            raise ValueError("mean must lie in [0, size]")
-
-    @property
-    def mean_prob(self) -> float:
-        return self.mean / self.size
-
-    @classmethod
-    def from_probs(cls, probs: Sequence[float]) -> "ApproximationStats":
-        p = as_prob_array(probs)
-        return cls(
-            mean=float(p.sum()),
-            stddev=float(math.sqrt(float((p * (1.0 - p)).sum()))),
-            size=int(p.size),
-        )
-
-
 def pmf_bruteforce(probs: Sequence[float]) -> np.ndarray:
     """Exact PMF of the positive-opinion count by full subset enumeration.
 
@@ -138,12 +109,14 @@ def pmf_dftcf(probs: Sequence[float]) -> np.ndarray:
     k+1 roots of unity and inverts with a DFT. The (k+1) x k table of factors
     is formed a block of about 2^16 entries at a time, so memory stays O(k);
     each root's product is computed as in one whole table, so the result is
-    the same. Imaginary residue is purely a floating-point artifact; it is
-    checked against IMAG_TOL and dropped, and real parts are clamped to
-    [0, 1].
+    the same. The cost is O(k^2), so k is guarded by DFTCF_LIMIT. Imaginary
+    residue is purely a floating-point artifact; it is checked against
+    IMAG_TOL and dropped, and real parts are clamped to [0, 1].
     """
     p = as_prob_array(probs)
     n = p.size
+    if n > DFTCF_LIMIT:
+        raise EnumerationLimitError(f"DFT-CF PMF limited to {DFTCF_LIMIT} workers, got {n}")
     roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     z = np.empty(n + 1, dtype=complex)
     rows = max(1, _PMF_BLOCK // n)
@@ -228,11 +201,7 @@ def poisson_window_prob(rate: float, window: DemandWindow) -> float:
         raise ValueError("Poisson rate must be non-negative")
     if rate == 0.0:
         return 0.0
-    log_rate = math.log(rate)
-    return sum(
-        math.exp(i * log_rate - math.lgamma(i + 1) - rate)
-        for i in range(window.theta1 + 1, window.theta2 + 1)
-    )
+    return sum(poisson_pmf(i, rate) for i in range(window.theta1 + 1, window.theta2 + 1))
 
 
 def poisson_window_peak(window: DemandWindow) -> float:
@@ -248,6 +217,13 @@ def poisson_window_peak(window: DemandWindow) -> float:
             f"window [{t1}, {t2}] has no width; the peak formula is undefined"
         )
     return math.exp((math.lgamma(t2 + 1) - math.lgamma(t1 + 1)) / (t2 - t1))
+
+
+def poisson_pmf(i: int, rate: float) -> float:
+    """Poisson(rate) mass at i >= 0, through log-gamma so large i cannot overflow."""
+    if rate == 0.0:
+        return 1.0 if i == 0 else 0.0
+    return math.exp(i * math.log(rate) - math.lgamma(i + 1) - rate)
 
 
 def binomial_pmf(i: int, n: int, p: float) -> float:
@@ -309,24 +285,20 @@ def binomial_window_peak(n: int, window: DemandWindow) -> tuple[float, float]:
     return p_star, window.k * p_star
 
 
-def normal_window_raw(mean: float, stddev: float, window: DemandWindow) -> float:
-    """normal_window_prob without the stats wrapper, for hot loops."""
+def normal_window_prob(mean: float, stddev: float, window: DemandWindow) -> float:
+    """Window probability under the Normal approximation with continuity correction.
+
+    mean and stddev are those of the positive-opinion count: sum p and
+    sqrt(sum p(1 - p)). The discrete window [theta1, theta2] widens by half a
+    unit on each side. A zero-variance set degenerates to a point mass at the
+    mean, so the result is the indicator of the corrected window.
+    """
     hi = window.theta2 + 0.5
     lo = window.theta1 - 0.5
     if stddev == 0.0:
         return 1.0 if lo < mean <= hi else 0.0
     scale = stddev * math.sqrt(2.0)
     return 0.5 * (math.erf((hi - mean) / scale) - math.erf((lo - mean) / scale))
-
-
-def normal_window_prob(stats: ApproximationStats, window: DemandWindow) -> float:
-    """Window probability under the Normal approximation with continuity correction.
-
-    The discrete window [theta1, theta2] widens by half a unit on each side.
-    A zero-variance set degenerates to a point mass at the mean, so the result
-    is the indicator of the corrected window.
-    """
-    return normal_window_raw(stats.mean, stats.stddev, window)
 
 
 def poisson_error_bound(probs: Sequence[float]) -> float:

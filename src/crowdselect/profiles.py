@@ -1,9 +1,9 @@
-"""Worker-profile similarity measures feeding the similarity-driven model.
+"""Worker similarity from task histories, feeding the similarity-driven model.
 
-Covers profile Jaccard similarity, task-worker relevance by inverse Jaccard
-distance, a multinomial-mixture topic model over each worker's bag-of-words
-task history (fitted with EM), and KL-based experience distance, symmetrized
-into a similarity matrix consumable by the S-Model solvers.
+Groups (worker, task, text) records into per-worker bags of words, fits a
+multinomial-mixture topic model over them with EM, and turns the workers'
+topic posteriors into a KL-based experience distance, symmetrized into a
+similarity matrix consumable by the S-Model solvers.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,45 +20,13 @@ SMOOTHING = 1e-10
 # Most topics em_fit fits: its word table holds n_topics x vocabulary floats,
 # so an unchecked count would allocate in proportion to one number.
 MAX_TOPICS = 1024
-RELEVANCE_SENTINEL = 1e12
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 def tokenize(text: str) -> list[str]:
-    """Default tokenizer: lowercase runs of letters/digits. Swap in a stemmer if needed."""
+    """Lowercase runs of letters and digits."""
     return _TOKEN_RE.findall(text.lower())
-
-
-@dataclass(frozen=True)
-class WorkerProfile:
-    """A worker's identifier and feature tokens (demographics, expertise, ...)."""
-
-    worker_id: str
-    features: frozenset[str]
-
-    def __post_init__(self):
-        if any(not f for f in self.features):
-            raise ValueError("profile features must be non-empty tokens")
-
-
-@dataclass(frozen=True)
-class TaskRecord:
-    """One worker's record on one task; (task_id, worker_id) pairs are unique."""
-
-    task_id: str
-    worker_id: str
-    features: frozenset[str]
-
-    @classmethod
-    def from_text(
-        cls,
-        task_id: str,
-        worker_id: str,
-        text: str,
-        tokenizer: Callable[[str], list[str]] = tokenize,
-    ) -> "TaskRecord":
-        return cls(task_id=task_id, worker_id=worker_id, features=frozenset(tokenizer(text)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,47 +89,6 @@ class TopicModel:
     @property
     def n_topics(self) -> int:
         return self.pi.size
-
-
-def jaccard_similarity(a: Iterable[str], b: Iterable[str]) -> float:
-    """|A & B| / |A | B|; two empty sets count as similarity 0."""
-    sa, sb = set(a), set(b)
-    union = sa | sb
-    if not union:
-        return 0.0
-    return len(sa & sb) / len(union)
-
-
-def relevance(
-    worker_features: Iterable[str],
-    task_features: Iterable[str],
-    sentinel: float = RELEVANCE_SENTINEL,
-) -> float:
-    """Inverse Jaccard distance between a worker and a task.
-
-    Identical feature sets have distance zero, where the inverse blows up;
-    a finite sentinel is returned instead.
-    """
-    distance = 1.0 - jaccard_similarity(worker_features, task_features)
-    if distance == 0.0:
-        return sentinel
-    return 1.0 / distance
-
-
-def relevant_workers(
-    task_features: Iterable[str],
-    pool: Sequence[WorkerProfile],
-    radius: float,
-) -> list[WorkerProfile]:
-    """Workers whose Jaccard distance to the task is within radius, input order kept."""
-    if radius < 0.0:
-        raise ValueError("relevance radius must be non-negative")
-    task = set(task_features)
-    return [
-        w
-        for w in pool
-        if 1.0 - jaccard_similarity(w.features, task) <= radius
-    ]
 
 
 def _counts_matrix(
@@ -327,7 +254,6 @@ def experience_similarity_matrix(
 
 def build_experiences(
     records: Sequence[tuple[str, str, str]],
-    tokenizer: Callable[[str], list[str]] = tokenize,
 ) -> tuple[list[str], list[Experience]]:
     """Group (worker_id, task_id, text) records into per-worker bags of words.
 
@@ -340,5 +266,5 @@ def build_experiences(
         if worker_id not in bags:
             bags[worker_id] = Counter()
             order.append(worker_id)
-        bags[worker_id].update(tokenizer(text))
+        bags[worker_id].update(tokenize(text))
     return order, [Experience(counts=dict(bags[w])) for w in order]

@@ -179,6 +179,16 @@ def _completion_floor(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     return smallest[:, depth], floor
 
 
+def _prune_slack(matrix: np.ndarray, k: int) -> float:
+    """Absolute rounding slack for comparing the pair sums of size-k crowds.
+
+    Rounding error of a pair sum grows with its number of terms and their
+    size; where a sum could overflow, rounding has no bound and nothing prunes.
+    """
+    scale = math.comb(k, 2) * float(np.abs(matrix).max())
+    return _PRUNE_SLACK * (1.0 + scale) if scale < _NO_OVERFLOW else math.inf
+
+
 def exact_select(sim, k: int, time_budget_s: float | None = None) -> tuple[int, ...]:
     """Most diverse size-k crowd, by a depth-first search over every crowd.
 
@@ -246,10 +256,7 @@ def _prefix_search(
         incumbent = float(np.triu(matrix[np.ix_(crowd, crowd)], 1).sum())
         if math.isnan(incumbent):
             incumbent = math.inf
-    # rounding error of a pair sum grows with its number of terms and their
-    # size; where a sum could overflow, rounding has no bound and nothing prunes
-    scale = math.comb(k, 2) * float(np.abs(matrix).max())
-    slack = _PRUNE_SLACK * (1.0 + scale) if scale < _NO_OVERFLOW else math.inf
+    slack = _prune_slack(matrix, k)
     best_sum, best = math.inf, None
     # a frame holds prefixes (rows, depth), their pair sums and (rows, n)
     # masses, plus the (prefix row, next worker) pairs still to expand
@@ -347,15 +354,12 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
     # first[a]: position of the seed pair (a, a + 1) in triu_indices order
     first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     seeds = int(first[-1])
-    # rounding error of a pair sum grows with its number of terms and their
-    # size; where a sum could overflow, rounding has no bound and nothing prunes
-    scale = math.comb(k, 2) * float(np.abs(matrix).max())
-    slack = _PRUNE_SLACK * (1.0 + scale) if scale < _NO_OVERFLOW else math.inf
+    slack = _prune_slack(matrix, k)
     best_div, best_pos, best_sum = -math.inf, seeds, math.inf
     best_members: np.ndarray | None = None
     # (seeds, n) work arrays of about 512 KB keep every step's passes in cache;
     # 32 MB arrays made n = 300 three to four times slower on a 2 MB-L2 core
-    chunk = max(1, (1 << 16) // n)
+    chunk = max(1, _WORK_ENTRIES // n)
     # entries near the float limit overflow to +-inf, and to NaN where both
     # meet; a NaN crowd never wins, as in exact_select, and if no crowd is
     # comparable that is reported below

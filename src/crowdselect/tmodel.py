@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -31,6 +32,10 @@ SA_T_INI = 1.0
 SA_T_END = 1e-4
 SA_REPEATS = 1000
 SA_COOLING = 0.9
+# Most annealing steps a schedule may ask for, levels x max(r, 1): about 114
+# times the default 88 levels x 1000. The level count matters on its own, as
+# each level resyncs the score even at r = 0.
+SA_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,15 +76,25 @@ class SaParams:
     seed: int = 0
 
     def __post_init__(self):
-        # an infinite t_ini stays infinite under cooling, so annealing would never end
-        if not (math.isfinite(self.t_ini) and self.t_ini > self.t_end > 0.0):
+        # an infinite t_ini stays infinite under cooling, and a subnormal
+        # temperature can round back to itself, so annealing would never end
+        if not (math.isfinite(self.t_ini) and self.t_ini > self.t_end >= sys.float_info.min):
             raise ValueError(
-                f"need finite t_ini > t_end > 0, got {self.t_ini!r} and {self.t_end!r}"
+                f"need finite t_ini > t_end >= {sys.float_info.min!r}, "
+                f"got {self.t_ini!r} and {self.t_end!r}"
             )
         if not isinstance(self.r, (int, np.integer)) or self.r < 0:
             raise ValueError(f"sweep count r must be a non-negative integer, got {self.r!r}")
         if not 0.0 < self.c < 1.0:
             raise ValueError("cooling ratio c must lie in (0, 1)")
+        # levels = ceil(log(t_ini / t_end) / -log(c)), counted without cooling
+        # step by step: a c one ulp below 1 would take about 10^17 levels
+        levels = math.ceil((math.log(self.t_ini) - math.log(self.t_end)) / -math.log(self.c))
+        if levels * max(int(self.r), 1) > SA_MAX_STEPS:
+            raise ValueError(
+                f"annealing schedule of {levels} levels x {self.r} sweeps exceeds "
+                f"SA_MAX_STEPS = {SA_MAX_STEPS}"
+            )
 
 
 @dataclass(frozen=True, init=False)
@@ -497,12 +512,6 @@ def _two_sided_knapsack(
     return _result(pool, window, chosen, objective, method, started)
 
 
-def _poisson_pmf_at(i: int, rate: float) -> float:
-    if rate == 0.0:
-        return 1.0 if i == 0 else 0.0
-    return math.exp(i * math.log(rate) - math.lgamma(i + 1) - rate)
-
-
 def select_poisson(pool: CandidatePool, window: DemandWindow) -> SelectionResult:
     """Knapsack selection against the Poisson approximation peak.
 
@@ -515,7 +524,7 @@ def select_poisson(pool: CandidatePool, window: DemandWindow) -> SelectionResult
         score = lambda mass: pbd.poisson_window_prob(mass, window)
     else:
         capacity = float(window.theta1)
-        score = lambda mass: _poisson_pmf_at(window.theta1, mass)
+        score = lambda mass: pbd.poisson_pmf(window.theta1, mass)
     return _two_sided_knapsack(pool, window, capacity, score, "poisson")
 
 
@@ -602,7 +611,7 @@ class _NormalScore(_SwapScore):
     def _value(self, state):
         mean, var = state
         # a running variance can end a rounding step below an exact 0
-        return pbd.normal_window_raw(mean, math.sqrt(max(var, 0.0)), self._window)
+        return pbd.normal_window_prob(mean, math.sqrt(max(var, 0.0)), self._window)
 
     def run_block(self, counts, positions, bars) -> None:
         members, outsiders = self.members, self.outsiders

@@ -79,6 +79,14 @@ class TestPbdCommands:
         assert code == 2
         assert err.strip()
 
+    @pytest.mark.parametrize("command", [["pmf"], ["tau", "--theta1", "1", "--theta0", "1"]])
+    def test_probs_past_dftcf_limit_exit_2(self, capsys, command):
+        probs = ",".join(["0.5"] * 4097)
+        code, out, err = run(capsys, "pbd", command[0], "--probs", probs, *command[1:])
+        assert code == 2
+        assert "4096" in err
+        assert out == ""
+
     def test_infeasible_window_exit_2(self, capsys):
         code, out, err = run(capsys, "pbd", "tau", "--probs", "0.5,0.5", "--theta1", "2", "--theta0", "1")
         assert code == 2
@@ -190,6 +198,23 @@ class TestSelectT:
         )
         assert code == 2
         assert "t_ini" in err
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [(["--sa-c", "0.9999999999999999"], "SA_MAX_STEPS"),
+         (["--sa-r", "100000000000"], "SA_MAX_STEPS"),
+         (["--t-end", "5e-324"], "t_end")],
+        ids=["c-one-ulp-below-1", "r-1e11", "subnormal-t-end"],
+    )
+    def test_unbounded_schedule_exit_2(self, capsys, options, field):
+        # each schedule ran until killed, past 5 s, before it was refused
+        code, out, err = run(
+            capsys, "select", "t", "--probs", "0.1,0.5,0.9,0.3", "-k", "2", "--theta1", "1",
+            "--theta0", "1", "--method", "dftcf-sa", *options,
+        )
+        assert code == 2
+        assert field in err
+        assert out == ""
 
     def test_pool_and_probs_mutually_exclusive(self, capsys, pool_file):
         code, _, err = run(
@@ -398,13 +423,16 @@ class TestBenchCommand:
             ({"model": "smodel", "n": 6, "trials": 1, "k": [2.5], "methods": ["random"]}, "'k'"),
             ({"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
               "methods": ["random", "dftcf-sa"], "sa": {"t_ini": float("inf")}}, "sa: "),
+            ({"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
+              "methods": ["random", "dftcf-sa"], "sa": {"r": 10**11}}, "sa: "),
         ],
         ids=["missing-n", "scalar-k", "distribution-no-kind", "distribution-number",
              "top-level-list", "demand-zero-denominator", "methods-string", "zero-k",
              "sa-seed", "sa-unknown-field", "greedy-k-1", "sa-fractional-r",
              "distribution-mean-string", "distribution-mean-list", "distribution-mean-nan",
              "n-1e9", "smodel-n-5000", "trials-1e9", "smodel-n-1", "tmodel-n-0",
-             "n-fraction", "trials-fraction", "k-fraction", "sa-infinite-t-ini"],
+             "n-fraction", "trials-fraction", "k-fraction", "sa-infinite-t-ini",
+             "sa-schedule-past-cap"],
     )
     def test_config_error_exit_2_before_any_cell(self, capsys, tmp_path, config, field):
         config_path = tmp_path / "config.json"
@@ -725,6 +753,51 @@ class TestHostileFiles:
             code = cli.main(["select", "t", "--pool", str(path), "-k", str(k),
                              "--theta1", str(theta1), "--theta0", str(theta0),
                              "--method", method])
+        assert code in (0, 2)
+
+
+# items of a well-formed --probs list
+PROB_VALUES = ["0", "1", "0.5", "0.1", "1e-300"]
+
+
+@st.composite
+def hostile_prob_lists(draw):
+    """A comma-separated probability list after up to four hostile edits.
+
+    An edit replaces an item with hostile text, deletes or repeats an item,
+    or inserts an empty one.
+    """
+    items = draw(st.lists(st.sampled_from(PROB_VALUES), max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        edit = draw(st.sampled_from(["cell", "empty", "delete", "repeat"]))
+        at = draw(st.integers(min_value=0, max_value=len(items)))
+        if edit == "empty":
+            items.insert(at, "")
+        elif at < len(items) and edit == "delete":
+            del items[at]
+        elif at < len(items) and edit == "repeat":
+            items.insert(at, items[at])
+        elif at < len(items):
+            items[at] = draw(CELLS)
+    return ",".join(items)
+
+
+class TestHostileProbs:
+    @given(probs=hostile_prob_lists(),
+           command=st.sampled_from(["pmf-dftcf", "pmf-bruteforce", "tau"]),
+           theta1=st.integers(min_value=-1, max_value=4),
+           theta0=st.integers(min_value=-1, max_value=4))
+    @example(probs=",".join(["0.5"] * 4097), command="pmf-dftcf", theta1=1, theta0=1)
+    @example(probs=",".join(["0.5"] * 4097), command="tau", theta1=1, theta0=1)
+    @settings(max_examples=150, deadline=None)
+    def test_pbd_exits_0_or_2(self, probs, command, theta1, theta0):
+        if command == "tau":
+            args = ["pbd", "tau", "--probs", probs, "--theta1", str(theta1),
+                    "--theta0", str(theta0)]
+        else:
+            args = ["pbd", "pmf", "--probs", probs, "--method", command.split("-")[1]]
+        with tempfile.TemporaryDirectory() as tmp:
+            code = cli.main([*args, "--out", str(Path(tmp) / "out.json")])
         assert code in (0, 2)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from scipy import stats
 
 from crowdselect import pbd
 from crowdselect.errors import DegenerateWindowError, EnumerationLimitError
-from crowdselect.pbd import ApproximationStats, DemandWindow, WindowKernel
+from crowdselect.pbd import DemandWindow, WindowKernel
 
 prob_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=12
@@ -133,6 +134,15 @@ class TestPmfDftcf:
         assert peak < 32 << 20
         assert abs(mass.sum() - 1.0) <= 1e-9
 
+    def test_size_limit(self, monkeypatch):
+        # O(n^2) work: refused before any is done
+        with pytest.raises(EnumerationLimitError, match="4096"):
+            pbd.pmf_dftcf([0.5] * (pbd.DFTCF_LIMIT + 1))
+        monkeypatch.setattr(pbd, "DFTCF_LIMIT", 8)
+        assert pbd.pmf_dftcf([0.5] * 8).size == 9
+        with pytest.raises(EnumerationLimitError):
+            pbd.window_prob([0.5] * 9, DemandWindow(1, 1, 9))
+
     def test_imaginary_residue_raises(self, monkeypatch):
         fft = np.fft.fft
         monkeypatch.setattr(np.fft, "fft", lambda z: fft(z) + 1e-3j)
@@ -196,6 +206,18 @@ class TestWindowKernel:
         kernel = WindowKernel(DemandWindow(1, 1, 4))
         with pytest.raises(ValueError):
             kernel.tau_many(np.zeros((3, 5)))
+
+
+class TestPoissonPmf:
+    def test_matches_scipy(self):
+        # i = 1000 would overflow a factorial
+        for i, rate in itertools.product((0, 1, 5, 40, 1000), (0.5, 2.0, 30.0, 1000.0)):
+            expected = stats.poisson.pmf(i, rate)
+            assert pbd.poisson_pmf(i, rate) == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+    def test_zero_rate_is_point_mass_at_zero(self):
+        assert pbd.poisson_pmf(0, 0.0) == 1.0
+        assert pbd.poisson_pmf(3, 0.0) == 0.0
 
 
 class TestPoissonWindow:
@@ -317,32 +339,21 @@ class TestBinomialPeak:
 class TestNormalWindow:
     def test_standard_case(self):
         w = DemandWindow(theta1=1, theta0=1, k=4)
-        stats_ = ApproximationStats(mean=2.0, stddev=1.0, size=4)
         expected = math.erf(1.5 / math.sqrt(2))  # Phi(1.5) - Phi(-1.5)
-        assert pbd.normal_window_prob(stats_, w) == pytest.approx(expected, abs=1e-12)
+        assert pbd.normal_window_prob(2.0, 1.0, w) == pytest.approx(expected, abs=1e-12)
 
     def test_degenerate_sigma_inside(self):
         w = DemandWindow(theta1=1, theta0=1, k=4)
-        stats_ = ApproximationStats(mean=2.0, stddev=0.0, size=4)
-        assert pbd.normal_window_prob(stats_, w) == 1.0
+        assert pbd.normal_window_prob(2.0, 0.0, w) == 1.0
 
     def test_degenerate_sigma_outside(self):
         w = DemandWindow(theta1=2, theta0=0, k=4)
-        stats_ = ApproximationStats(mean=0.5, stddev=0.0, size=4)
-        assert pbd.normal_window_prob(stats_, w) == 0.0
+        assert pbd.normal_window_prob(0.5, 0.0, w) == 0.0
 
     def test_mean_on_lower_edge_with_far_top(self):
         # mean sits exactly on the corrected lower edge; the top is far away
         w = DemandWindow(theta1=2, theta0=0, k=200)
-        stats_ = ApproximationStats(mean=1.5, stddev=1.0, size=200)
-        assert pbd.normal_window_prob(stats_, w) == pytest.approx(0.5, abs=1e-9)
-
-    def test_from_probs(self):
-        s = ApproximationStats.from_probs([0.2, 0.4, 0.6, 0.9])
-        assert s.mean == pytest.approx(2.1)
-        assert s.stddev == pytest.approx(math.sqrt(0.16 + 0.24 + 0.24 + 0.09))
-        assert s.size == 4
-        assert s.mean_prob == pytest.approx(2.1 / 4)
+        assert pbd.normal_window_prob(1.5, 1.0, w) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestErrorBounds:

@@ -10,85 +10,11 @@ from hypothesis import strategies as st
 from scipy import special
 
 from crowdselect import profiles, smodel
-from crowdselect.profiles import Experience, TopicModel, WorkerProfile
+from crowdselect.profiles import Experience, TopicModel
 
 
 def experience(*tokens) -> Experience:
     return Experience.from_tokens(tokens)
-
-
-class TestJaccard:
-    def test_identical_sets(self):
-        assert profiles.jaccard_similarity({"a", "b"}, {"a", "b"}) == 1.0
-
-    def test_disjoint_sets(self):
-        assert profiles.jaccard_similarity({"a"}, {"b"}) == 0.0
-
-    def test_half_overlap(self):
-        assert profiles.jaccard_similarity({"a", "b", "c"}, {"b", "c", "d"}) == 0.5
-
-    def test_both_empty(self):
-        assert profiles.jaccard_similarity(set(), set()) == 0.0
-
-    @given(
-        st.sets(st.sampled_from("abcdefgh")),
-        st.sets(st.sampled_from("abcdefgh")),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_symmetric_and_bounded(self, a, b):
-        sim = profiles.jaccard_similarity(a, b)
-        assert sim == profiles.jaccard_similarity(b, a)
-        assert 0.0 <= sim <= 1.0
-        if a or b:
-            assert (sim == 1.0) == (a == b)
-
-
-class TestRelevance:
-    def test_half_jaccard(self):
-        # jaccard 0.5 -> distance 0.5 -> relevance 2
-        assert profiles.relevance({"a", "b", "c"}, {"b", "c", "d"}) == pytest.approx(2.0)
-
-    def test_disjoint(self):
-        assert profiles.relevance({"a"}, {"b"}) == pytest.approx(1.0)
-
-    def test_identical_hits_sentinel(self):
-        assert profiles.relevance({"a"}, {"a"}) == 1e12
-
-    def test_custom_sentinel(self):
-        assert profiles.relevance({"a"}, {"a"}, sentinel=99.0) == 99.0
-
-
-class TestTaskRecord:
-    def test_from_text_tokenizes(self):
-        record = profiles.TaskRecord.from_text("t1", "w1", "Label IMAGES, label text")
-        assert record.features == frozenset({"label", "images", "text"})
-
-    def test_relevance_against_worker_profile(self):
-        record = profiles.TaskRecord.from_text("t1", "w1", "a b c")
-        worker = profiles.WorkerProfile("w9", frozenset({"b", "c", "d"}))
-        assert profiles.relevance(worker.features, record.features) == pytest.approx(2.0)
-
-
-class TestRelevantWorkers:
-    task = {"a", "b", "c", "d", "e"}
-    near = WorkerProfile("near", frozenset({"a", "b", "c", "d"}))  # distance 0.2
-    mid = WorkerProfile("mid", frozenset({"a", "b", "c", "x"}))  # distance 0.5
-    far = WorkerProfile("far", frozenset({"a", "x1", "x2", "x3", "x4", "x5"}))  # 0.9
-    pool = [near, mid, far]
-
-    def test_radius_one_keeps_everyone(self):
-        assert profiles.relevant_workers(self.task, self.pool, 1.0) == self.pool
-
-    def test_radius_zero_keeps_exact_matches(self):
-        twin = WorkerProfile("twin", frozenset(self.task))
-        assert profiles.relevant_workers(self.task, [twin, self.mid], 0.0) == [twin]
-
-    def test_threshold_at_half(self):
-        assert profiles.relevant_workers(self.task, self.pool, 0.5) == [self.near, self.mid]
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            profiles.relevant_workers(self.task, self.pool, -0.1)
 
 
 def random_corpus(rng: np.random.Generator, n_docs=8, vocab_size=12):
@@ -397,11 +323,6 @@ class TestBuildExperiences:
         assert ids == ["w2", "w1"]
         assert exps[0].counts == {"alpha": 1, "beta": 3}
         assert exps[1].counts == {"gamma": 1}
-
-    def test_custom_tokenizer(self):
-        records = [("w", "t", "A-B")]
-        ids, exps = profiles.build_experiences(records, tokenizer=lambda s: s.split("-"))
-        assert exps[0].counts == {"A": 1, "B": 1}
 
     def test_tokenize_default(self):
         assert profiles.tokenize("Hello, world! 42x") == ["hello", "world", "42x"]

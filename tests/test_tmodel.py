@@ -687,11 +687,50 @@ class TestSaSelect:
             SaParams(r=-1)
         with pytest.raises(ValueError, match="integer"):
             SaParams(r=1.5)
+        # below the normal range 4 units x 0.9 round back to 4 units, so the
+        # temperature would never reach t_end
+        with pytest.raises(ValueError, match="t_end"):
+            SaParams(t_ini=1e-322, t_end=5e-324)
         # an infinite t_ini stays infinite under cooling: annealing would never end
         for field in ("t_ini", "t_end", "c"):
             for value in (math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError):
                     SaParams(**{field: value})
+
+    def test_schedule_length_capped(self):
+        # cooling by one ulp per level would take about 10^17 levels
+        with pytest.raises(ValueError, match="SA_MAX_STEPS"):
+            SaParams(c=0.9999999999999999)
+        with pytest.raises(ValueError, match="SA_MAX_STEPS"):
+            SaParams(r=10**11)
+        # r = 0 still resyncs once per level
+        with pytest.raises(ValueError, match="SA_MAX_STEPS"):
+            SaParams(r=0, c=0.9999999999999999)
+        # the default cooling runs 88 levels
+        SaParams(r=tmodel.SA_MAX_STEPS // 88)
+        with pytest.raises(ValueError, match="88 levels"):
+            SaParams(r=tmodel.SA_MAX_STEPS // 88 + 1)
+
+    @given(
+        t_ini=st.floats(min_value=1e-3, max_value=1e3),
+        ratio=st.floats(min_value=1.0 + 1e-9, max_value=1e6),
+        c=st.floats(min_value=1e-3, max_value=0.999),
+    )
+    @example(t_ini=1.0, ratio=1e4, c=0.9)
+    @settings(max_examples=100, deadline=None)
+    def test_level_count_matches_cooling_loop(self, t_ini, ratio, c):
+        """The cap counts the levels sa_select's loop runs, to within one."""
+        t_end = t_ini / ratio
+        assume(t_ini > t_end)
+        levels, temp = 0, t_ini
+        while temp > t_end:
+            levels += 1
+            temp *= c
+        with mock.patch.object(tmodel, "SA_MAX_STEPS", levels + 1):
+            SaParams(t_ini=t_ini, t_end=t_end, r=1, c=c)
+        with mock.patch.object(tmodel, "SA_MAX_STEPS", levels - 2):
+            with pytest.raises(ValueError, match="SA_MAX_STEPS"):
+                SaParams(t_ini=t_ini, t_end=t_end, r=1, c=c)
 
     def test_paper_defaults(self):
         params = SaParams()
@@ -705,7 +744,7 @@ def from_scratch_score(objective: str, probs, subset, window: DemandWindow) -> f
         return pbd.window_prob(members, window)
     mean = sum(members)
     stddev = math.sqrt(sum(p * (1.0 - p) for p in members))
-    return pbd.normal_window_raw(mean, stddev, window)
+    return pbd.normal_window_prob(mean, stddev, window)
 
 
 def subset_after(score, swaps, positions):
@@ -961,7 +1000,7 @@ class TestBlockLoops:
         # mean and variance: 0 + (x - 0) is x exactly
         score = tmodel._NormalScore([0.0, 0.0], window, [0])
         score._probs, score._var_terms, score._state = [0.0, mean], [0.0, var], (0.0, 0.0)
-        expected = pbd.normal_window_raw(mean, math.sqrt(max(var, 0.0)), window)
+        expected = pbd.normal_window_prob(mean, math.sqrt(max(var, 0.0)), window)
         # a gain exactly at the bar is accepted
         score.run_block([1], [0, 0], [expected - score.value])
         assert score.members == [1]
