@@ -157,12 +157,22 @@ class WindowKernel:
     """
 
     def __init__(self, window: DemandWindow):
+        if window.k > DFTCF_LIMIT:
+            raise EnumerationLimitError(
+                f"DFT-CF window kernel limited to k = {DFTCF_LIMIT}, got {window.k}"
+            )
         self.window = window
         n = window.k + 1
         freqs = np.arange(n)
         self._roots = np.exp(2j * np.pi * freqs / n)
         counts = np.arange(window.theta1, window.theta2 + 1)
-        self._weights = np.exp(-2j * np.pi * np.outer(freqs, counts) / n).sum(axis=1) / n
+        # the (k + 1) x (width + 1) table of roots is formed a block of about
+        # _PMF_BLOCK entries at a time; each row sums as in one whole table
+        self._weights = np.empty(n, dtype=complex)
+        rows = max(1, _PMF_BLOCK // counts.size)
+        for start in range(0, n, rows):
+            block = np.outer(freqs[start : start + rows], counts)
+            self._weights[start : start + rows] = np.exp(-2j * np.pi * block / n).sum(axis=1) / n
         # frequency 0: the characteristic function is 1
         self.w0 = float(self._weights[0].real)
         self.half_terms = []

@@ -18,7 +18,8 @@ import time
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, mul
-from typing import Hashable, Iterator, Sequence
+from types import MethodType
+from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -151,6 +152,12 @@ def _result(
 def _check_feasible(pool: CandidatePool, window: DemandWindow) -> None:
     if window.k > len(pool):
         raise ValueError(f"cannot select k = {window.k} from {len(pool)} candidates")
+    # every solver ends scoring its pick with pbd.window_prob, which refuses
+    # more than DFTCF_LIMIT workers; refuse such a k before any work
+    if window.k > pbd.DFTCF_LIMIT:
+        raise EnumerationLimitError(
+            f"crowds are limited to k = {pbd.DFTCF_LIMIT} workers, got {window.k}"
+        )
 
 
 # Entries per work array of exact enumeration: a (rows, k) block holds about
@@ -553,11 +560,14 @@ _DRAW_BLOCK = 1 << 16
 # table of per-(outgoing, incoming) factor ratios in Python lists; larger
 # pools score a swap with numpy from a table of factors and reciprocals.
 # The faster path follows the frequency count L = (k + 1) // 2 more than n.
-# us per dftcf-sa step, list / numpy path forced (2 CPUs, Python 3.11, numpy
-# 2.4, median of 5), at n = 60, 80, 100, 120: k = 10 4.1/7.4, 5.1/7.5,
-# 4.5/7.2, 5.0/6.6; k = 20 7.7/8.4, 9.0/7.9, 10.1/8.2, 9.9/7.6. So n = 120,
-# k = 10 and n = 80, k = 20 take the slower path; moving the limit would
-# change the rounding.
+# us per dftcf-sa step, pair / numpy path forced (2 CPUs, Python 3.11, numpy
+# 2.4, interleaved median of 5), at n = 60, 80, 100, 120: k = 10 2.3/5.4,
+# 2.7/5.2, 3.0/7.0, 3.4/7.0; k = 20 6.7/7.7, 5.9/7.8, 7.9/9.3, 7.2/8.3.
+# The per-frequency pair kernel moved the crossover: the pair path now wins
+# at every size here, where with a list of terms numpy won from n = 80 at
+# k = 20. So every pool past the limit here (n = 120 at k = 10, n = 100 and
+# 120 at k = 20) takes the slower path; moving the limit would change the
+# rounding.
 _PAIR_TABLE_LIMIT = 1 << 16
 
 
@@ -565,10 +575,10 @@ class _SwapScore:
     """Annealing state: a k-subset of range(n) and its objective, kept under member swaps.
 
     The subset lives in two index lists, members and outsiders. A step
-    exchanges `swaps` members for as many outsiders, picked by a partial
-    Fisher-Yates shuffle of each list's front: step s reads its picks at
-    start = 2 s swap_cap, and for j < swaps positions[start + j] lies in
-    [j, k) and positions[start + swap_cap + j] in [j, n - k).
+    exchanges 1 <= swaps <= swap_cap members for as many outsiders, picked
+    by a partial Fisher-Yates shuffle of each list's front: step s reads its
+    picks at start = 2 s swap_cap, and for j < swaps positions[start + j]
+    lies in [j, k) and positions[start + swap_cap + j] in [j, n - k).
 
     run_block(counts, positions, bars) runs a block of such steps in one
     loop with all state in locals. Each step moves its picks to the fronts
@@ -655,10 +665,11 @@ class _DftcfScore(_SwapScore):
     multiplies in the incoming factors and divides out the outgoing ones, in
     one of two block loops:
 
-    - n^2 L <= _PAIR_TABLE_LIMIT (n workers, L frequencies): the terms are a
-      Python list, and each swapped pair multiplies it by a precomputed row
-      of incoming factor over outgoing factor (_run_pairs): about 3.2 us
-      per step at n = 20, k = 8.
+    - n^2 L <= _PAIR_TABLE_LIMIT (n workers, L frequencies): a block loop
+      generated for L (_pair_kernel) holds each term in a local, and each
+      swapped pair multiplies them by a precomputed row of incoming factor
+      over outgoing factor: about 2.4 us per step at n = 20, k = 8, where a
+      list of terms multiplied by one lazy map per pair took 3.6 us.
     - larger pools: the terms are a numpy vector, and a (2n, L) table stacks
       the factor rows on the reciprocal rows. A step takes the 2 x swaps
       rows of the move, multiplies them down to one ratio vector and scores
@@ -684,7 +695,8 @@ class _DftcfScore(_SwapScore):
         # 1 - p (1 - w) is exactly 0 only for p = 1/2 at w = -1, the Nyquist
         # frequency that exists for odd k
         self._singular = {i for i, p in enumerate(probs) if p == 0.5 and window.k % 2 == 1}
-        # a singular worker's reciprocal row is never read: removing it rebuilds
+        # a singular worker's reciprocal row is never used: removing it
+        # rebuilds the terms, and the pair kernel discards its NaN products
         nan_row = [math.nan] * len(self._weights)
         inverses = [
             nan_row if i in self._singular else [1.0 / f for f in row]
@@ -696,7 +708,7 @@ class _DftcfScore(_SwapScore):
             self._pairs = [
                 [list(map(mul, row, inverse)) for row in self._factors] for inverse in inverses
             ]
-            self.run_block = self._run_pairs
+            self.run_block = MethodType(_pair_kernel(len(self._weights)), self)
         else:
             self._table = np.array(self._factors + inverses)
             self.run_block = self._run_table
@@ -713,32 +725,6 @@ class _DftcfScore(_SwapScore):
         if value > 1.0:
             return 1.0
         return value if value > 0.0 else 0.0
-
-    def _run_pairs(self, counts, positions, bars) -> None:
-        members, outsiders, pairs = self.members, self.outsiders, self._pairs
-        singular, w0 = self._singular, self._w0
-        terms, current = self._state, self.value
-        middle = self.swap_cap
-        for swaps, start, bar in zip(counts, range(0, len(positions), 2 * middle), bars):
-            # chain lazy element-wise products and build one list at the end;
-            # a singular worker's chain is dropped unread
-            moved = terms
-            mid = start + middle
-            for j in range(swaps):
-                a, b = positions[start + j], positions[mid + j]
-                members[j], members[a] = members[a], members[j]
-                outsiders[j], outsiders[b] = outsiders[b], outsiders[j]
-                moved = map(mul, moved, pairs[members[j]][outsiders[j]])
-            if singular and not singular.isdisjoint(members[:swaps]):
-                moved = self._from_scratch(outsiders[:swaps] + members[swaps:])
-            else:
-                moved = [*moved]
-            value = sum(moved, w0).real
-            candidate = 1.0 if value > 1.0 else value if value > 0.0 else 0.0
-            if candidate - current >= bar:
-                members[:swaps], outsiders[:swaps] = outsiders[:swaps], members[:swaps]
-                terms, current = moved, candidate
-        self._state, self.value = terms, current
 
     def _run_table(self, counts, positions, bars) -> None:
         members, outsiders = self.members, self.outsiders
@@ -768,6 +754,71 @@ class _DftcfScore(_SwapScore):
                 terms = moved if ratio is None else terms * ratio
                 current = candidate
         self._state, self.value = terms, current
+
+
+# The pair-table run_block of _DftcfScore for each frequency count L, built
+# on first use; the pair table admits L <= 25, as n >= k.
+_PAIR_KERNELS: dict[int, Callable] = {}
+
+
+def _pair_kernel(frequencies: int) -> Callable:
+    """The pair-table run_block for L = frequencies, with each frequency's term in a local.
+
+    The source is formed from L alone and compiled once, as dataclasses and
+    collections.namedtuple generate their methods. A step makes its
+    Fisher-Yates picks and multiplies the candidate terms c0 ... c{L-1} by
+    each swapped pair's ratio row in swap order, a removed singular worker
+    rebuilds them from scratch, and the score sums w0 + c0 + ... + c{L-1}
+    left to right, as sum(terms, w0) does, before the clamp. Every candidate
+    is therefore the float that a list of terms gives.
+    """
+    kernel = _PAIR_KERNELS.get(frequencies)
+    if kernel is not None:
+        return kernel
+    ls = range(frequencies)
+    terms = "".join(f"t{l}, " for l in ls)
+    moved = "".join(f"c{l}, " for l in ls)
+    ratios = "".join(f"r{l}, " for l in ls)
+    first = "; ".join(f"c{l} = t{l} * r{l}" for l in ls)
+    adopt = "; ".join(f"t{l} = c{l}" for l in ls)
+    products = "; ".join(f"c{l} *= r{l}" for l in ls)
+    total = " + ".join(["w0", *(f"c{l}" for l in ls)])
+    # a step makes at least one swap, so the first swap's products start the
+    # candidate terms; members[a] and outsiders[b] move to the fronts
+    source = f"""\
+def run_block(self, counts, positions, bars):
+    members, outsiders, pairs = self.members, self.outsiders, self._pairs
+    singular, w0 = self._singular, self._w0
+    {terms}= self._state
+    current = self.value
+    middle = self.swap_cap
+    for swaps, start, bar in zip(counts, range(0, len(positions), 2 * middle), bars):
+        mid = start + middle
+        a, b = positions[start], positions[mid]
+        o = members[a]; members[a] = members[0]; members[0] = o
+        i = outsiders[b]; outsiders[b] = outsiders[0]; outsiders[0] = i
+        {ratios}= pairs[o][i]
+        {first}
+        for j in range(1, swaps):
+            a, b = positions[start + j], positions[mid + j]
+            o = members[a]; members[a] = members[j]; members[j] = o
+            i = outsiders[b]; outsiders[b] = outsiders[j]; outsiders[j] = i
+            {ratios}= pairs[o][i]
+            {products}
+        if singular and not singular.isdisjoint(members[:swaps]):
+            {moved}= self._from_scratch(outsiders[:swaps] + members[swaps:])
+        value = ({total}).real
+        candidate = 1.0 if value > 1.0 else value if value > 0.0 else 0.0
+        if candidate - current >= bar:
+            members[:swaps], outsiders[:swaps] = outsiders[:swaps], members[:swaps]
+            {adopt}
+            current = candidate
+    self._state, self.value = [{terms}], current
+"""
+    namespace: dict = {}
+    exec(compile(source, f"<_DftcfScore.run_block, L = {frequencies}>", "exec"), namespace)
+    kernel = _PAIR_KERNELS[frequencies] = namespace["run_block"]
+    return kernel
 
 
 _SWAP_SCORES = {"normal": _NormalScore, "dftcf": _DftcfScore}

@@ -2,7 +2,8 @@
 
 Each run is a subprocess, as the benchmark is run for real, and takes a few
 seconds. A workload whose run raises, or whose output fails one of the
-benchmark's checks, fails here.
+benchmark's checks, fails here. One traced run checks that every function
+the trace mode wraps by name still exists in the package.
 """
 
 import json
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "crowdbench"
-WORKLOADS = json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())["workloads"]
+BENCHMARK = json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())
+WORKLOADS = BENCHMARK["workloads"]
 
 
 def run_script(*args):
@@ -41,3 +43,21 @@ def test_workload_runs_without_failures(workload):
     report = json.loads(done.stdout.strip().splitlines()[-1])
     assert report["failed"] == 0
     assert report["correct"] is True
+
+
+def test_traced_run_reports_every_layer():
+    spans_file = BENCH_DIR / "out" / "trace-s-profile-seed1.tsv"
+    had_out_dir = spans_file.parent.exists()
+    try:
+        done = run_script(
+            str(BENCH_DIR / "run.py"), "--workload", "s-profile", "--seed", "1", "--seconds", "0",
+            "--trace", "1",
+        )
+    finally:
+        spans_file.unlink(missing_ok=True)
+        if not had_out_dir and spans_file.parent.exists() and not any(spans_file.parent.iterdir()):
+            spans_file.parent.rmdir()
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["failed"] == 0
+    assert set(report["metrics"]) == {metric["name"] for metric in BENCHMARK["per_layer"]}

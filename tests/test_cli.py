@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,21 @@ class TestSelectT:
         )
         assert code == 2
         assert field in err
+        assert out == ""
+
+    @pytest.mark.parametrize("method", ["exact", "poisson", "binomial", "normal-sa", "dftcf-sa", "random"])
+    def test_crowd_past_dftcf_limit_exit_2(self, capsys, method):
+        # refused before any work: exact (C(k, k) = 1 subset) and dftcf-sa
+        # would otherwise build a (k + 1)^2 table of roots, 537 MB traced
+        probs = ",".join(["0.5"] * 4097)
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, "select", "t", "--probs", probs, "-k", "4097", "--theta1", "0",
+            "--theta0", "0", "--method", method,
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert "4096" in err
         assert out == ""
 
     def test_pool_and_probs_mutually_exclusive(self, capsys, pool_file):

@@ -207,6 +207,36 @@ class TestWindowKernel:
         with pytest.raises(ValueError):
             kernel.tau_many(np.zeros((3, 5)))
 
+    @given(k=st.integers(1, 1000), data=st.data())
+    @example(k=1000, data=None)  # the full window: 16 row blocks
+    @settings(max_examples=60, deadline=None)
+    def test_weights_match_one_table(self, k, data):
+        if data is None:
+            window = DemandWindow(0, 0, k)
+        else:
+            theta1 = data.draw(st.integers(0, k))
+            window = DemandWindow(theta1, data.draw(st.integers(0, k - theta1)), k)
+        n = k + 1
+        counts = np.arange(window.theta1, window.theta2 + 1)
+        whole = np.exp(-2j * np.pi * np.outer(np.arange(n), counts) / n).sum(axis=1) / n
+        assert WindowKernel(window)._weights.tobytes() == whole.tobytes()
+
+    def test_memory_bounded(self):
+        # one (4097 x 4097) table of roots would take 268 MB, and its exponent as much
+        tracemalloc.start()
+        try:
+            kernel = WindowKernel(DemandWindow(0, 0, pbd.DFTCF_LIMIT))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        # the full window holds every count: probability 1
+        assert kernel.tau_many(np.full((1, pbd.DFTCF_LIMIT), 0.3))[0] == pytest.approx(1.0)
+
+    def test_size_limit(self):
+        with pytest.raises(EnumerationLimitError, match="4096"):
+            WindowKernel(DemandWindow(0, 0, pbd.DFTCF_LIMIT + 1))
+
 
 class TestPoissonPmf:
     def test_matches_scipy(self):

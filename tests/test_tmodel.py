@@ -851,6 +851,22 @@ class TestSwapScore:
             score = tmodel._DftcfScore(probs, DemandWindow(1, 1, k), range(k))
             assert (score._pairs is not None) == has_table
 
+    def test_one_pair_kernel_per_frequency_count(self, monkeypatch):
+        monkeypatch.setattr(tmodel, "_PAIR_KERNELS", {})
+        probs = self.POOLS["uniform"][0] * 2
+        # k = 1 and 2 share L = 1; n = 50, k = 49 is the largest L, 25, the pair table admits
+        for n, k in ((25, 1), (25, 2), (25, 8), (25, 8), (50, 49)):
+            score = tmodel._DftcfScore(probs[:n], DemandWindow(0, 0, k), range(k))
+            frequencies = (k + 1) // 2
+            assert score._pairs is not None and len(score._weights) == frequencies
+            assert score.run_block.__func__ is tmodel._PAIR_KERNELS[frequencies]
+        assert sorted(tmodel._PAIR_KERNELS) == [1, 4, 25]
+        # the numpy table path scores without a kernel
+        probs, k = self.POOLS["large"]
+        score = tmodel._DftcfScore(probs, DemandWindow(1, 1, k), range(k))
+        assert score._pairs is None
+        assert sorted(tmodel._PAIR_KERNELS) == [1, 4, 25]
+
 
 class PerStepScore:
     """The per-step protocol that run_block replaced, kept as a reference.
@@ -970,6 +986,12 @@ class TestBlockLoops:
     @example(case=(GOLDEN_LARGE, DemandWindow(8, 8, 20), SaParams(t_end=0.05, r=40)), objective="dftcf")
     @example(case=(NYQUIST_POOL, DemandWindow(3, 12, 25), SaParams(t_end=0.05, r=40)), objective="dftcf")
     @example(case=(NYQUIST_POOL, DemandWindow(3, 12, 25), SaParams(t_end=0.05, r=40)), objective="normal")
+    # both ends of the pair kernel's frequency count: L = 1 at k = 1 (with
+    # singular workers) and k = 2, and L = 25 at n = 50, k = 49
+    @example(case=(NYQUIST_POOL, DemandWindow(1, 0, 1), SaParams(t_end=0.05, r=40)), objective="dftcf")
+    @example(case=(GOLDEN_LARGE[:30], DemandWindow(1, 1, 2), SaParams(t_end=0.05, r=40)), objective="dftcf")
+    @example(case=(NYQUIST_POOL, DemandWindow(20, 20, 49), SaParams(t_end=0.05, r=40)), objective="dftcf")
+    @example(case=(GOLDEN_LARGE[50:100], DemandWindow(20, 20, 49), SaParams(t_end=0.05, r=40)), objective="dftcf")
     @settings(max_examples=120, deadline=None)
     def test_sa_select_matches_per_step_loop(self, case, objective):
         probs, window, params = case
@@ -979,6 +1001,40 @@ class TestBlockLoops:
         assert result.indices == indices
         assert result.objective == value
         assert result.tau == pbd.window_prob(pool.probs[list(indices)], window)
+
+    @given(data=st.data())
+    @example(data=None)
+    @settings(max_examples=100, deadline=None)
+    def test_pair_kernel_terms_are_reference_bit_for_bit(self, data):
+        # every step is accepted, so each candidate's value and terms are kept
+        # and compared, not only the decisions they lead to
+        if data is None:  # L = 25, the largest, with singular workers
+            probs, window, rng = NYQUIST_POOL, DemandWindow(20, 20, 49), random.Random(0)
+        else:
+            k = data.draw(st.integers(1, 25))
+            largest = math.isqrt(tmodel._PAIR_TABLE_LIMIT // ((k + 1) // 2))
+            n = data.draw(st.integers(k + 1, min(largest, 120)))
+            value = st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), st.floats(0.0, 1.0))
+            probs = data.draw(st.lists(value, min_size=n, max_size=n))
+            theta1 = data.draw(st.integers(0, k))
+            window = DemandWindow(theta1, data.draw(st.integers(0, k - theta1)), k)
+            rng = random.Random(data.draw(st.integers(0, 2**32)))
+        n, k = len(probs), window.k
+        score = tmodel._DftcfScore(probs, window, rng.sample(range(n), k))
+        assert score._pairs is not None
+        reference, cap = PerStepScore(score), score.swap_cap
+        bits = lambda terms: [(c.real.hex(), c.imag.hex()) for c in terms]
+        for _ in range(20):
+            swaps = rng.randint(1, cap)
+            positions = [rng.randrange(j, k) for j in range(cap)]
+            positions += [rng.randrange(j, n - k) for j in range(cap)]
+            members, outsiders = score.members[:], score.outsiders[:]
+            expected = reference.try_swap(swaps, positions, 0)
+            state = bits(reference._pending[1])
+            score.members[:], score.outsiders[:] = members, outsiders
+            score.run_block([swaps], positions, [-math.inf])
+            assert score.value.hex() == expected.hex()
+            assert bits(score._state) == state
 
     @given(
         mean=st.floats(-5.0, 60.0),
