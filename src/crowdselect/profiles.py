@@ -20,6 +20,10 @@ SMOOTHING = 1e-10
 # Most topics em_fit fits: its word table holds n_topics x vocabulary floats,
 # so an unchecked count would allocate in proportion to one number.
 MAX_TOPICS = 1024
+# Most EM iterations em_fit runs. Fits of the benchmark's 300-worker corpora
+# took 172-2,098 iterations to reach tol = 1e-7; the cap is about 5 times
+# that, so a zero tol still ends.
+EM_MAX_ITER = 10_000
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -153,10 +157,16 @@ def em_fit(
     posterior-weighted relative frequencies, smoothed so no word probability
     can collapse to zero. Stops when the log-likelihood gain drops below tol.
     Deterministic for a fixed seed: priors start uniform, word rows start at
-    seeded Dirichlet draws.
+    seeded Dirichlet draws. tol must be finite and non-negative, and
+    max_iter lie in [1, EM_MAX_ITER].
     """
     if not 1 <= n_topics <= MAX_TOPICS:
         raise ValueError(f"n_topics must lie in [1, {MAX_TOPICS}], got {n_topics}")
+    # NaN fails every comparison, so a NaN tol would never stop the loop
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    if not 1 <= max_iter <= EM_MAX_ITER:
+        raise ValueError(f"max_iter must lie in [1, {EM_MAX_ITER}], got {max_iter}")
     if not experiences:
         raise ValueError("need at least one experience collection")
     if any(e.total == 0 for e in experiences):

@@ -232,6 +232,21 @@ class TestSelectT:
         assert "4096" in err
         assert out == ""
 
+    @pytest.mark.parametrize("k", [130, 4096])
+    def test_dftcf_annealing_tables_past_limit_exit_2(self, capsys, k):
+        # 4,096 workers x 65 or 2,048 frequencies is past DFTCF_SA_LIMIT; at
+        # k = 4,096 the tables would trace about 0.95 GB
+        probs = ",".join(["0.3"] * 4096)
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, "select", "t", "--probs", probs, "-k", str(k), "--theta1", "1",
+            "--theta0", "1", "--method", "dftcf-sa",
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert "DFT-CF annealing tables" in err
+        assert out == ""
+
     def test_pool_and_probs_mutually_exclusive(self, capsys, pool_file):
         code, _, err = run(
             capsys, "select", "t", "--pool", str(pool_file), "--probs", "0.5",
@@ -356,6 +371,22 @@ class TestProfileCommands:
         )
         assert code == 2
         assert "n_topics" in err
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [(["--tol", "0", "--max-iter", "1000000000"], "max_iter"),
+         (["--tol", "nan", "--max-iter", "1000000000"], "tol"),
+         (["--max-iter", "-5"], "max_iter")],
+        ids=["zero-tol-1e9-iterations", "nan-tol", "negative-max-iter"],
+    )
+    def test_fit_unbounded_or_empty_exit_2(self, capsys, corpus_file, options, field):
+        # the first two ran until killed at 10 s; the last exited 0 after no iteration
+        code, out, err = run(
+            capsys, "profile", "fit", "--corpus", str(corpus_file), "-K", "2", *options
+        )
+        assert code == 2
+        assert field in err
+        assert out == ""
 
     def test_fit_on_broken_model_file(self, capsys, corpus_file, tmp_path):
         model_path = tmp_path / "model.json"

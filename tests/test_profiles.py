@@ -85,6 +85,23 @@ class TestEmFit:
         model = profiles.em_fit([experience("a")], n_topics=profiles.MAX_TOPICS, max_iter=1)
         assert model.mu.shape == (profiles.MAX_TOPICS, 1)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-7])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        # NaN fails the stopping test on every iteration
+        with pytest.raises(ValueError, match="tol"):
+            profiles.em_fit([experience("a")], n_topics=1, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [-5, 0, profiles.EM_MAX_ITER + 1])
+    def test_iteration_count_bounded(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            profiles.em_fit([experience("a")], n_topics=1, max_iter=max_iter)
+
+    def test_zero_tol_stops_at_max_iter(self):
+        docs = [experience("a", "b"), experience("b", "c"), experience("c", "a")]
+        model = profiles.em_fit(docs, n_topics=2, tol=0.0, max_iter=25, seed=3)
+        # one entry per iteration, and one for the final parameters
+        assert len(model.log_likelihood_trace) == 26
+
 
 class TestTopicPosterior:
     def test_single_topic(self):

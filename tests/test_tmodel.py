@@ -517,6 +517,21 @@ class TestWorkMemory:
         assert traced_peak_mb(lambda: tmodel.select_poisson(pool, window)) <= 40
 
 
+    def test_dftcf_annealing_tables_at_the_limit(self):
+        # 4,096 workers x 64 frequencies (k = 128) is DFTCF_SA_LIMIT entries
+        probs = np.random.default_rng(4096).uniform(0, 1, 4096).tolist()
+        window = DemandWindow(theta1=10, theta0=10, k=128)
+        assert len(probs) * 64 == tmodel.DFTCF_SA_LIMIT
+        assert traced_peak_mb(lambda: tmodel._DftcfScore(probs, window, range(128))) <= 36
+
+        # a 65th frequency is refused before any table is built
+        def refuse():
+            with pytest.raises(EnumerationLimitError, match="DFT-CF annealing tables"):
+                tmodel._DftcfScore(probs, DemandWindow(10, 10, 130), range(130))
+
+        assert traced_peak_mb(refuse) <= 0.1
+
+
 class TestSelectPoisson:
     @pytest.mark.parametrize("solver", [tmodel.select_poisson, tmodel.select_binomial])
     @pytest.mark.parametrize(
@@ -852,20 +867,33 @@ class TestSwapScore:
             assert (score._pairs is not None) == has_table
 
     def test_one_pair_kernel_per_frequency_count(self, monkeypatch):
-        monkeypatch.setattr(tmodel, "_PAIR_KERNELS", {})
-        probs = self.POOLS["uniform"][0] * 2
-        # k = 1 and 2 share L = 1; n = 50, k = 49 is the largest L, 25, the pair table admits
-        for n, k in ((25, 1), (25, 2), (25, 8), (25, 8), (50, 49)):
-            score = tmodel._DftcfScore(probs[:n], DemandWindow(0, 0, k), range(k))
-            frequencies = (k + 1) // 2
-            assert score._pairs is not None and len(score._weights) == frequencies
-            assert score.run_block.__func__ is tmodel._PAIR_KERNELS[frequencies]
-        assert sorted(tmodel._PAIR_KERNELS) == [1, 4, 25]
-        # the numpy table path scores without a kernel
-        probs, k = self.POOLS["large"]
-        score = tmodel._DftcfScore(probs, DemandWindow(1, 1, k), range(k))
-        assert score._pairs is None
-        assert sorted(tmodel._PAIR_KERNELS) == [1, 4, 25]
+        # one compiled block loop per (unrolled swaps, loop parts, frequencies), reused
+        monkeypatch.setattr(tmodel, "_BLOCK_LOOPS", {})
+        unrolled = tmodel._UNROLLED_SWAPS
+        probs = self.POOLS["uniform"][0] * 12
+        pair, table, normal = tmodel._pair_loop, tmodel._table_loop, tmodel._normal_loop
+        cases = [
+            # k = 1 and 2 share L = 1 and swap cap 1; n = 50, k = 49 is the
+            # largest L, 25, the pair table admits
+            (tmodel._DftcfScore, 25, 1, (1, pair, 1)),
+            (tmodel._DftcfScore, 25, 2, (1, pair, 1)),
+            (tmodel._DftcfScore, 25, 8, (4, pair, 4)),
+            (tmodel._DftcfScore, 25, 8, (4, pair, 4)),
+            (tmodel._DftcfScore, 50, 49, (1, pair, 25)),
+            # the numpy table path: one loop per swap cap, whatever L
+            (tmodel._DftcfScore, 120, 21, (10, table)),
+            (tmodel._DftcfScore, 110, 20, (10, table)),
+            (tmodel._NormalScore, 25, 8, (4, normal)),
+            # swap caps past _UNROLLED_SWAPS share the loop that ends in a for loop
+            (tmodel._NormalScore, 4 * unrolled, 2 * unrolled, (unrolled, normal)),
+            (tmodel._NormalScore, 4 * unrolled + 8, 2 * unrolled + 4, (unrolled, normal)),
+        ]
+        for make, n, k, key in cases:
+            score = make(probs[:n], DemandWindow(0, 0, k), range(k))
+            assert min(score.swap_cap, unrolled) == key[0]
+            assert (getattr(score, "_pairs", None) is not None) == (key[1] is pair)
+            assert score.run_block.__func__ is tmodel._BLOCK_LOOPS[key]
+        assert len(tmodel._BLOCK_LOOPS) == len({key for *_, key in cases}) == 6
 
 
 class PerStepScore:
@@ -960,6 +988,18 @@ def per_step_sa_select(pool, window, objective, params):
 # and p = 1/2 with odd k on each (GOLDEN_LARGE holds 0.5 at index 47)
 GOLDEN_LARGE = [((37 * i + 11) % 100) / 100 for i in range(120)]
 NYQUIST_POOL = [0.5] * 25 + [0.05, 0.95] * 12 + [0.05]
+# the block loops write out this many swaps and loop over the rest
+UNROLLED = tmodel._UNROLLED_SWAPS
+SHORT_SCHEDULE = SaParams(t_end=0.05, r=40)
+# swap cap 1; cap UNROLLED, every swap written out; cap UNROLLED + 1, whose
+# last swap runs in the loop, with p = 1/2 at index 47 and odd k; and n = 100,
+# k = 20, on the numpy table path for dftcf
+LOOP_EDGES = [
+    (GOLDEN_LARGE[:5], DemandWindow(1, 0, 3), SHORT_SCHEDULE),
+    ((GOLDEN_LARGE * 2)[: 4 * UNROLLED], DemandWindow(25, 25, 2 * UNROLLED), SHORT_SCHEDULE),
+    ((GOLDEN_LARGE * 2)[: 4 * UNROLLED + 6], DemandWindow(26, 26, 2 * UNROLLED + 3), SHORT_SCHEDULE),
+    (GOLDEN_LARGE[:100], DemandWindow(8, 8, 20), SHORT_SCHEDULE),
+]
 
 
 @st.composite
@@ -992,6 +1032,14 @@ class TestBlockLoops:
     @example(case=(GOLDEN_LARGE[:30], DemandWindow(1, 1, 2), SaParams(t_end=0.05, r=40)), objective="dftcf")
     @example(case=(NYQUIST_POOL, DemandWindow(20, 20, 49), SaParams(t_end=0.05, r=40)), objective="dftcf")
     @example(case=(GOLDEN_LARGE[50:100], DemandWindow(20, 20, 49), SaParams(t_end=0.05, r=40)), objective="dftcf")
+    @example(case=LOOP_EDGES[0], objective="normal")
+    @example(case=LOOP_EDGES[1], objective="normal")
+    @example(case=LOOP_EDGES[2], objective="normal")
+    @example(case=LOOP_EDGES[3], objective="normal")
+    @example(case=LOOP_EDGES[0], objective="dftcf")
+    @example(case=LOOP_EDGES[1], objective="dftcf")
+    @example(case=LOOP_EDGES[2], objective="dftcf")
+    @example(case=LOOP_EDGES[3], objective="dftcf")
     @settings(max_examples=120, deadline=None)
     def test_sa_select_matches_per_step_loop(self, case, objective):
         probs, window, params = case
