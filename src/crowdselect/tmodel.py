@@ -17,7 +17,7 @@ import sys
 import textwrap
 import time
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, mul
 from types import MethodType
 from typing import Callable, Hashable, Iterator, Sequence
@@ -559,16 +559,14 @@ _DRAW_BLOCK = 1 << 16
 
 # Largest (pool size)^2 x (frequencies) for which the DFT-CF score keeps a
 # table of per-(outgoing, incoming) factor ratios in Python lists; larger
-# pools score a swap with numpy from a table of factors and reciprocals.
+# pools take a move's ratio from a numpy table of factors and reciprocals.
 # The faster path follows the frequency count L = (k + 1) // 2 more than n.
 # us per dftcf-sa step, pair / numpy path forced (2 CPUs, Python 3.11, numpy
-# 2.4, interleaved median of 5, block loops unrolled by swap count), at
-# n = 60, 80, 100, 120: k = 10 2.4/5.6, 2.5/6.0, 2.3/5.0, 2.5/5.1; k = 20
-# 5.7/7.4, 5.8/7.2, 5.8/6.3, 7.5/8.4. The per-frequency pair loop moved the
-# crossover: the pair path wins at every size here, where with a list of
-# terms numpy won from n = 80 at k = 20. So every pool past the limit here
-# (n = 120 at k = 10, n = 100 and 120 at k = 20) takes the slower path;
-# moving the limit would change the rounding.
+# 2.4, median of 10 in two interleaved sets, terms in locals on both paths),
+# at n = 60, 80, 100, 120: k = 10 1.8/3.8, 1.8/3.8, 1.9/3.9, 2.0/3.8; k = 20
+# 4.5/6.1, 5.0/5.4, 5.1/5.5, 5.9/5.3. The pair path wins everywhere but at
+# n = 120, k = 20, so n = 120 at k = 10 and n = 100 at k = 20 take the
+# slower path; moving the limit would change the rounding.
 _PAIR_TABLE_LIMIT = 1 << 16
 
 
@@ -600,7 +598,8 @@ class _SwapScore:
         inside = set(self.members)
         self.outsiders = [i for i in range(n) if i not in inside]
         self.swap_cap = max(1, min(len(self.members), len(self.outsiders)) // 2)
-        self.run_block = MethodType(_block_loop(self.swap_cap, loop, *args), self)
+        unrolled = min(self.swap_cap, _UNROLLED_SWAPS)
+        self.run_block = MethodType(_block_loop(unrolled, loop, *args), self)
         self.resync()
 
     def resync(self) -> None:
@@ -643,21 +642,20 @@ class _DftcfScore(_SwapScore):
     The state holds, per frequency l of WindowKernel.half_terms, its weight
     times z_l, the product over members of 1 - p (1 - w_l); the score is the
     real part of their sum plus WindowKernel.w0, clamped to [0, 1]. A swap
-    multiplies in the incoming factors and divides out the outgoing ones, in
-    one of two block loops:
+    multiplies in the incoming factors and divides out the outgoing ones.
+    The block loop is generated for L frequencies as well (_dftcf_loop) and
+    holds each term in a local on every pool; only the source of a move's
+    ratio depends on the pool size:
 
-    - n^2 L <= _PAIR_TABLE_LIMIT (n workers, L frequencies): the loop is
-      generated for L as well (_pair_loop) and holds each term in a local,
-      and each swapped pair multiplies them by a precomputed row of incoming
-      factor over outgoing factor: about 1.9 us per step at n = 20, k = 8,
-      0.83-0.89 times a loop over the swaps at n = 20-25, where a list of
-      terms multiplied by one lazy map per pair took 3.6 us.
-    - larger pools: the terms are a numpy vector, and a (2n, L) table stacks
-      the factor rows on the reciprocal rows. A step takes the 2 x swaps
-      rows of the move, multiplies them down to one ratio vector and scores
-      the move with one dot product against the terms, O(swaps L) in three
-      numpy calls; acceptance multiplies the ratio in (_table_loop): about
-      6.5 us per step at n = 100, k = 20, and 10.4 at n = 200, k = 30.
+    - n^2 L <= _PAIR_TABLE_LIMIT (n workers): each swapped pair multiplies
+      the terms by a precomputed row of incoming factor over outgoing
+      factor: about 1.9 us per step at n = 20, k = 8, 0.83-0.89 times a loop
+      over the swaps at n = 20-25, where a list of terms multiplied by one
+      lazy map per pair took 3.6 us.
+    - larger pools: a (2n, L) table stacks the factor rows on the
+      reciprocal rows, and numpy multiplies a move's 2 x swaps rows down to
+      one ratio: about 7.4 us per step at n = 100, k = 20, 9.8 at n = 200,
+      k = 30 and 17.4 at n = 400, k = 60.
 
     A factor vanishes only at p = 1/2 on the Nyquist frequency (k odd); the
     rounded root leaves a residue near 1e-16 there, whose powers underflow
@@ -696,16 +694,15 @@ class _DftcfScore(_SwapScore):
             self._pairs = [
                 [list(map(mul, row, inverse)) for row in self._factors] for inverse in inverses
             ]
-            super().__init__(n, members, _pair_loop, frequencies)
         else:
             self._table = np.array(self._factors + inverses)
-            super().__init__(n, members, _table_loop)
+        super().__init__(n, members, _dftcf_loop, frequencies, self._pairs is not None)
 
     def _from_scratch(self, members):
         terms = self._weights
         for i in members:
             terms = list(map(mul, terms, self._factors[i]))
-        return terms if self._pairs is not None else np.array(terms)
+        return terms
 
     def _value(self, terms):
         value = sum(terms, self._w0).real
@@ -758,83 +755,82 @@ else:
     )
 
 
-def _pair_loop(frequencies: int) -> _LoopParts:
-    """_DftcfScore's pair-table path for L = frequencies, each frequency's term in a local.
+def _dftcf_loop(frequencies: int, paired: bool) -> _LoopParts:
+    """_DftcfScore for L = frequencies: kept terms t0 ... t{L-1}, candidate terms c0 ... c{L-1}.
 
-    The first swap multiplies the kept terms t0 ... t{L-1} by its pair's
-    ratio row into the candidate terms c0 ... c{L-1}, and later swaps
-    multiply those in swap order. A removed singular worker rebuilds them
-    from scratch, and the score sums w0 + c0 + ... + c{L-1} left to right,
-    as sum(terms, w0) does, before the clamp. Every candidate is therefore
-    the float that a list of terms gives.
+    paired, each swap multiplies in its pair's ratio row, the first into
+    the kept terms. Otherwise each swap adds its factor and reciprocal rows,
+    and after the last np.multiply.reduce multiplies them down to one ratio
+    r0 ... r{L-1}, which multiplies the kept terms per frequency. A removed
+    singular worker rebuilds the candidate terms from scratch instead. The
+    score sums w0 + c0 + ... + c{L-1} left to right, as sum(terms, w0) does,
+    so every candidate is the float that a list of terms gives. No step
+    calls BLAS, whose kernels round a dot product differently on different
+    CPUs; numpy's complex multiply still rounds differently with and
+    without its FMA loops (x86-64-v3), and so can a candidate past the pair
+    table.
     """
     ls = range(frequencies)
     terms = "".join(f"t{l}, " for l in ls)
     moved = "".join(f"c{l}, " for l in ls)
-    ratios = "".join(f"r{l}, " for l in ls) + "= pairs[o][i]"
+    ratios = "".join(f"r{l}, " for l in ls)
+    multiply = "; ".join(f"c{l} = t{l} * r{l}" for l in ls)
+    if paired:
+        setup = "pairs, singular, w0 = self._pairs, self._singular, self._w0"
+        table_ratio = ""
 
-    def swap(j):
-        if j == 0:
-            return [ratios, "; ".join(f"c{l} = t{l} * r{l}" for l in ls)]
-        return [ratios, "; ".join(f"c{l} *= r{l}" for l in ls)]
+        def swap(j):
+            if j == 0:
+                return [ratios + "= pairs[o][i]", multiply]
+            return [ratios + "= pairs[o][i]", "; ".join(f"c{l} *= r{l}" for l in ls)]
+    else:
+        setup = """\
+singular, w0, n = self._singular, self._w0, len(self._factors)
+take, product = self._table.take, np.multiply.reduce"""
+        table_ratio = f"""\
+else:
+    {ratios}= product(take(rows, axis=0)).tolist()
+    {multiply}
+"""
+
+        def swap(j):
+            return ["rows = [i, n + o]" if j == 0 else "rows += (i, n + o)"]
 
     return _LoopParts(
         setup=f"""\
-pairs, singular, w0 = self._pairs, self._singular, self._w0
+{setup}
 {terms}= self._state""",
         swap=swap,
         score=f"""\
 if singular and not singular.isdisjoint(members[:swaps]):
     {moved}= self._from_scratch(outsiders[:swaps] + members[swaps:])
-value = ({" + ".join(["w0", *(f"c{l}" for l in ls)])}).real
+{table_ratio}value = ({" + ".join(["w0", *(f"c{l}" for l in ls)])}).real
 candidate = 1.0 if value > 1.0 else value if value > 0.0 else 0.0""",
         adopt="; ".join(f"t{l} = c{l}" for l in ls),
         store=f"self._state = [{terms}]",
     )
 
 
-def _table_loop() -> _LoopParts:
-    """_DftcfScore's numpy path: the move's factor and reciprocal rows, one dot product."""
-    def swap(j):
-        return ["rows = [i, n + o]" if j == 0 else "rows += (i, n + o)"]
-
-    return _LoopParts(
-        setup="""\
-singular, w0 = self._singular, self._w0
-take, product = self._table.take, np.multiply.reduce
-n = len(self._factors)
-terms = self._state""",
-        swap=swap,
-        score="""\
-if singular and not singular.isdisjoint(members[:swaps]):
-    ratio = None
-    moved = self._from_scratch(outsiders[:swaps] + members[swaps:])
-    candidate = self._value(moved)
-else:
-    ratio = product(take(rows, axis=0))
-    value = w0 + float(terms.dot(ratio).real)
-    candidate = 1.0 if value > 1.0 else value if value > 0.0 else 0.0""",
-        adopt="terms = moved if ratio is None else terms * ratio",
-        store="self._state = terms",
-    )
-
-
 # Swaps a block loop writes out one by one. Each nests one level deeper, and
 # CPython refuses source indented past 100 levels, so a loop for a larger
 # swap cap runs its swaps from this one on in a for loop over the same lines.
-# Only the Normal and numpy paths reach it: the pair table holds swap caps
-# up to 16 (n = 64, k = 32), and sa_select draws up to k / 2 <= 2048 swaps.
+# Only the Normal path and the DFT-CF path past the pair table reach it: the
+# pair table holds swap caps up to 16 (n = 64, k = 32), and sa_select draws
+# up to k / 2 <= 2048 swaps.
 _UNROLLED_SWAPS = 32
 
-# The run_block of each score for each swap cap up to _UNROLLED_SWAPS, keyed
-# by (unrolled swaps, loop parts function, its arguments), built on first use.
-_BLOCK_LOOPS: dict[tuple, Callable] = {}
+# Compiled block loops kept for reuse, least recently used dropped first. The
+# DFT-CF loops differ by frequency count as well as by swap cap, so a sweep
+# over k would otherwise keep one per (swap cap, L); each keeps about
+# 10-120 KB.
+_CACHED_LOOPS = 32
 
 
-def _block_loop(swap_cap: int, loop: Callable[..., _LoopParts], *args) -> Callable:
-    """The run_block of a score with this swap cap, from the lines loop(*args) supplies.
+@lru_cache(maxsize=_CACHED_LOOPS)
+def _block_loop(unrolled: int, loop: Callable[..., _LoopParts], *args) -> Callable:
+    """The run_block of a score whose swap cap, capped at _UNROLLED_SWAPS, is unrolled.
 
-    The source is formed from integers alone and compiled once, as
+    The source is formed from integers alone and compiled on first use, as
     dataclasses and collections.namedtuple generate their methods. Swap j
     reads its Fisher-Yates picks at constant offsets, positions[start + j]
     and positions[mid + j] with mid = start + swap_cap, and moves
@@ -846,11 +842,6 @@ def _block_loop(swap_cap: int, loop: Callable[..., _LoopParts], *args) -> Callab
     operation keeps the order of a loop over the swaps, so every candidate
     is the same float.
     """
-    unrolled = min(swap_cap, _UNROLLED_SWAPS)
-    key = (unrolled, loop, *args)
-    kernel = _BLOCK_LOOPS.get(key)
-    if kernel is not None:
-        return kernel
     parts = loop(*args)
 
     def unroll(body: Callable[[int | str], list[str]], pad: str) -> str:
@@ -898,8 +889,7 @@ def run_block(self, counts, positions, bars):
     namespace = {"math": math, "np": np}
     name = f"<{loop.__name__}{args}, {unrolled} swaps>"
     exec(compile(source, name, "exec"), namespace)
-    kernel = _BLOCK_LOOPS[key] = namespace["run_block"]
-    return kernel
+    return namespace["run_block"]
 
 
 _SWAP_SCORES = {"normal": _NormalScore, "dftcf": _DftcfScore}
@@ -928,7 +918,7 @@ def sa_select(
     no exponential is evaluated per step, and hands each batch to one
     run_block call of the score (_SwapScore), a loop generated for its swap
     cap: at n = 20, k = 8 a step takes about 1.3 us (normal) and 1.9 us
-    (dftcf), and at n = 100-200, k = 20-30 about 2.7-3.8 and 6.5-10.4 us
+    (dftcf), and at n = 100-200, k = 20-30 about 2.7-3.8 and 7.4-9.8 us
     (2 CPUs, Python 3.11, medians). The initial subset is
     sorted(random.Random(seed).sample(range(n), k)); the run is deterministic
     for a fixed params.seed.

@@ -1,9 +1,14 @@
 import copy
 import itertools
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
 import tracemalloc
 from operator import mul
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -866,23 +871,24 @@ class TestSwapScore:
             score = tmodel._DftcfScore(probs, DemandWindow(1, 1, k), range(k))
             assert (score._pairs is not None) == has_table
 
-    def test_one_pair_kernel_per_frequency_count(self, monkeypatch):
-        # one compiled block loop per (unrolled swaps, loop parts, frequencies), reused
-        monkeypatch.setattr(tmodel, "_BLOCK_LOOPS", {})
+    def test_one_pair_kernel_per_frequency_count(self):
+        # one compiled block loop per (unrolled swaps, loop parts, its arguments), reused
+        tmodel._block_loop.cache_clear()
         unrolled = tmodel._UNROLLED_SWAPS
         probs = self.POOLS["uniform"][0] * 12
-        pair, table, normal = tmodel._pair_loop, tmodel._table_loop, tmodel._normal_loop
+        dftcf, normal = tmodel._dftcf_loop, tmodel._normal_loop
         cases = [
             # k = 1 and 2 share L = 1 and swap cap 1; n = 50, k = 49 is the
             # largest L, 25, the pair table admits
-            (tmodel._DftcfScore, 25, 1, (1, pair, 1)),
-            (tmodel._DftcfScore, 25, 2, (1, pair, 1)),
-            (tmodel._DftcfScore, 25, 8, (4, pair, 4)),
-            (tmodel._DftcfScore, 25, 8, (4, pair, 4)),
-            (tmodel._DftcfScore, 50, 49, (1, pair, 25)),
-            # the numpy table path: one loop per swap cap, whatever L
-            (tmodel._DftcfScore, 120, 21, (10, table)),
-            (tmodel._DftcfScore, 110, 20, (10, table)),
+            (tmodel._DftcfScore, 25, 1, (1, dftcf, 1, True)),
+            (tmodel._DftcfScore, 25, 2, (1, dftcf, 1, True)),
+            (tmodel._DftcfScore, 25, 8, (4, dftcf, 4, True)),
+            (tmodel._DftcfScore, 25, 8, (4, dftcf, 4, True)),
+            (tmodel._DftcfScore, 50, 49, (1, dftcf, 25, True)),
+            # past the pair table: one loop per swap cap and L
+            (tmodel._DftcfScore, 120, 21, (10, dftcf, 11, False)),
+            (tmodel._DftcfScore, 110, 20, (10, dftcf, 10, False)),
+            (tmodel._DftcfScore, 120, 20, (10, dftcf, 10, False)),
             (tmodel._NormalScore, 25, 8, (4, normal)),
             # swap caps past _UNROLLED_SWAPS share the loop that ends in a for loop
             (tmodel._NormalScore, 4 * unrolled, 2 * unrolled, (unrolled, normal)),
@@ -891,9 +897,20 @@ class TestSwapScore:
         for make, n, k, key in cases:
             score = make(probs[:n], DemandWindow(0, 0, k), range(k))
             assert min(score.swap_cap, unrolled) == key[0]
-            assert (getattr(score, "_pairs", None) is not None) == (key[1] is pair)
-            assert score.run_block.__func__ is tmodel._BLOCK_LOOPS[key]
-        assert len(tmodel._BLOCK_LOOPS) == len({key for *_, key in cases}) == 6
+            paired = key[1] is dftcf and key[3]
+            assert (getattr(score, "_pairs", None) is not None) == paired
+            assert score.run_block.__func__ is tmodel._block_loop(*key)
+        assert tmodel._block_loop.cache_info().currsize == len({key for *_, key in cases}) == 7
+
+    def test_block_loop_cache_is_bounded(self):
+        # a sweep over k compiles a loop per frequency count past the pair
+        # table; only the most recently used _CACHED_LOOPS stay
+        cached = tmodel._CACHED_LOOPS
+        for frequencies in range(1, cached + 9):
+            tmodel._block_loop(1, tmodel._dftcf_loop, frequencies, False)
+        info = tmodel._block_loop.cache_info()
+        assert info.maxsize == cached
+        assert info.currsize == cached
 
 
 class PerStepScore:
@@ -902,7 +919,9 @@ class PerStepScore:
     try_swap scores one move from the tables of a _NormalScore or
     _DftcfScore and leaves the subset as it was; accept adopts the last move
     tried. The arithmetic is that of the old try_swap methods, operation for
-    operation.
+    operation, except past the pair table: there the ratio of the move's
+    rows comes from np.multiply.reduce and multiplies the terms one
+    frequency at a time, which are then summed as on the pair path.
     """
 
     def __init__(self, score):
@@ -936,10 +955,9 @@ class PerStepScore:
         else:
             n = len(score._factors)
             rows = [row for o, i in moves for row in (i, n + o)]
-            ratio = np.multiply.reduce(score._table.take(rows, axis=0))
-            value = score._w0 + float(score._state.dot(ratio).real)
-            value = 1.0 if value > 1.0 else value if value > 0.0 else 0.0
-            state = score._state * ratio
+            ratio = np.multiply.reduce(score._table.take(rows, axis=0)).tolist()
+            state = list(map(mul, score._state, ratio))
+            value = score._value(state)
         self._pending = swaps, state, value
         return value
 
@@ -992,14 +1010,45 @@ NYQUIST_POOL = [0.5] * 25 + [0.05, 0.95] * 12 + [0.05]
 UNROLLED = tmodel._UNROLLED_SWAPS
 SHORT_SCHEDULE = SaParams(t_end=0.05, r=40)
 # swap cap 1; cap UNROLLED, every swap written out; cap UNROLLED + 1, whose
-# last swap runs in the loop, with p = 1/2 at index 47 and odd k; and n = 100,
-# k = 20, on the numpy table path for dftcf
+# last swap runs in the loop, with p = 1/2 at index 47 and odd k; n = 100,
+# k = 20, on the numpy table path for dftcf; and the largest frequency count
+# DFTCF_SA_LIMIT admits, L = 362 at n = 724, k = 723 (L = 363 needs n >= 725)
 LOOP_EDGES = [
     (GOLDEN_LARGE[:5], DemandWindow(1, 0, 3), SHORT_SCHEDULE),
     ((GOLDEN_LARGE * 2)[: 4 * UNROLLED], DemandWindow(25, 25, 2 * UNROLLED), SHORT_SCHEDULE),
     ((GOLDEN_LARGE * 2)[: 4 * UNROLLED + 6], DemandWindow(26, 26, 2 * UNROLLED + 3), SHORT_SCHEDULE),
     (GOLDEN_LARGE[:100], DemandWindow(8, 8, 20), SHORT_SCHEDULE),
+    ((GOLDEN_LARGE * 7)[:724], DemandWindow(361, 361, 723), SHORT_SCHEDULE),
 ]
+
+
+# 300 steps of dftcf-sa past the pair table (n = 100, k = 20), each accepted
+# at a bar of -inf, so every candidate is printed as it is scored
+TABLE_PATH_STEPS = """\
+import math, random
+from crowdselect import tmodel
+from crowdselect.pbd import DemandWindow
+rng = random.Random(7)
+n, k = 100, 20
+probs = [rng.random() for _ in range(n)]
+score = tmodel._DftcfScore(probs, DemandWindow(8, 8, k), rng.sample(range(n), k))
+if score._pairs is not None:
+    raise SystemExit("expected the path past the pair table")
+cap = score.swap_cap
+for _ in range(300):
+    swaps = rng.randint(1, cap)
+    positions = [rng.randrange(j, k) for j in range(cap)]
+    positions += [rng.randrange(j, n - k) for j in range(cap)]
+    score.run_block([swaps], positions, [-math.inf])
+    print(score.value.hex())
+"""
+
+
+def numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        return ""
 
 
 @st.composite
@@ -1040,6 +1089,7 @@ class TestBlockLoops:
     @example(case=LOOP_EDGES[1], objective="dftcf")
     @example(case=LOOP_EDGES[2], objective="dftcf")
     @example(case=LOOP_EDGES[3], objective="dftcf")
+    @example(case=LOOP_EDGES[4], objective="dftcf")
     @settings(max_examples=120, deadline=None)
     def test_sa_select_matches_per_step_loop(self, case, objective):
         probs, window, params = case
@@ -1049,6 +1099,25 @@ class TestBlockLoops:
         assert result.indices == indices
         assert result.objective == value
         assert result.tau == pbd.window_prob(pool.probs[list(indices)], window)
+
+    @pytest.mark.skipif(
+        "openblas" not in numpy_blas().lower() or platform.machine() not in ("x86_64", "AMD64"),
+        reason="OPENBLAS_CORETYPE selects x86 kernels of OpenBLAS only",
+    )
+    def test_table_path_candidates_do_not_depend_on_blas_kernel(self):
+        # OpenBLAS's SSE3 (Prescott) and AVX2 (Haswell) kernels round a
+        # complex dot product differently; no candidate may depend on which runs
+        src = Path(tmodel.__file__).resolve().parents[1]
+        candidates = {}
+        for core in ("Prescott", "Haswell"):
+            done = subprocess.run(
+                [sys.executable, "-c", TABLE_PATH_STEPS],
+                capture_output=True, text=True, check=True, cwd=src,
+                env={**os.environ, "OPENBLAS_CORETYPE": core},
+            )
+            candidates[core] = done.stdout.split()
+        assert len(candidates["Prescott"]) == 300
+        assert candidates["Prescott"] == candidates["Haswell"]
 
     @given(data=st.data())
     @example(data=None)
