@@ -141,19 +141,30 @@ def window_prob(probs: Sequence[float], window: DemandWindow) -> float:
     return min(1.0, max(0.0, total))
 
 
+def fold_points(window: DemandWindow) -> int:
+    """Points M of the DFT of the characteristic function, which folds the PMF modulo M.
+
+    For M >= k + 1 - min(theta0, theta1), a window count c has c - M < 0
+    and c + M > k, so no other count in [0, k] shares its residue. M is the
+    least odd such integer: no root is -1, so no factor 1 - p(1 - root)
+    vanishes for p in [0, 1].
+    """
+    return (window.k + 1 - min(window.theta0, window.theta1)) | 1
+
+
 class WindowKernel:
     """Window probability for a fixed demand window, with precomputed DFT constants.
 
-    Folding the window sum into per-frequency weights turns each evaluation
-    into one characteristic-function product per frequency. tau_many() scores
-    a batch of candidate subsets at once for exact enumeration.
+    Folding the window sum into per-frequency weights, over the M =
+    fold_points(window) roots of unity, turns each evaluation into one
+    characteristic-function product per frequency. tau_many() scores a
+    batch of candidate subsets at once for exact enumeration.
 
     w0 and half_terms hold the same constants as Python scalars for the
-    annealing score. Frequencies l and k + 1 - l are conjugate, so the window
-    probability is w0 plus the real part of the sum, over the (one_minus_root,
-    weight) pairs of half_terms, of weight times the product over members of
-    1 - p * one_minus_root; weight counts the middle frequency (k odd) once
-    and the others twice.
+    annealing score. Frequencies l and M - l are conjugate, so the window
+    probability is w0 plus the real part of the sum, over the (M - 1) / 2
+    (one_minus_root, weight) pairs of half_terms, of weight times the
+    product over members of 1 - p * one_minus_root; weight counts both.
     """
 
     def __init__(self, window: DemandWindow):
@@ -162,11 +173,11 @@ class WindowKernel:
                 f"DFT-CF window kernel limited to k = {DFTCF_LIMIT}, got {window.k}"
             )
         self.window = window
-        n = window.k + 1
+        n = fold_points(window)
         freqs = np.arange(n)
         self._roots = np.exp(2j * np.pi * freqs / n)
         counts = np.arange(window.theta1, window.theta2 + 1)
-        # the (k + 1) x (width + 1) table of roots is formed a block of about
+        # the M x (width + 1) table of roots is formed a block of about
         # _PMF_BLOCK entries at a time; each row sums as in one whole table
         self._weights = np.empty(n, dtype=complex)
         rows = max(1, _PMF_BLOCK // counts.size)
@@ -175,12 +186,10 @@ class WindowKernel:
             self._weights[start : start + rows] = np.exp(-2j * np.pi * block / n).sum(axis=1) / n
         # frequency 0: the characteristic function is 1
         self.w0 = float(self._weights[0].real)
-        self.half_terms = []
-        for l in range(1, n // 2 + 1):
-            factor = 1.0 if 2 * l == n else 2.0
-            self.half_terms.append(
-                (complex(1.0 - self._roots[l]), factor * complex(self._weights[l]))
-            )
+        self.half_terms = [
+            (complex(1.0 - self._roots[l]), 2.0 * complex(self._weights[l]))
+            for l in range(1, n // 2 + 1)
+        ]
 
     def tau_many(self, prob_matrix: np.ndarray) -> np.ndarray:
         """Exact window probabilities for a batch of subsets, one row each.

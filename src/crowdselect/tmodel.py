@@ -246,7 +246,13 @@ def exact_select(
                 raise TimeBudgetError(time_budget_s, elapsed)
     if best is None:
         raise RuntimeError("no subset has a comparable window probability")
-    return _result(pool, window, best, best_tau, "exact", started)
+    # the pick's tau as dftcf-sa scores it, in Python floats alike on every CPU
+    terms = [weight for _, weight in kernel.half_terms]
+    for p in pool.probs[list(best)].tolist():
+        factors = [1.0 - p * one_minus_root for one_minus_root, _ in kernel.half_terms]
+        terms = list(map(mul, terms, factors))
+    tau = min(1.0, max(0.0, sum(terms, kernel.w0).real))
+    return _result(pool, window, best, tau, "exact", started)
 
 
 # Exact knapsack stores the sorted subset sums of the light half-pool,
@@ -560,14 +566,14 @@ _DRAW_BLOCK = 1 << 16
 # Largest (pool size)^2 x (frequencies) for which the DFT-CF score keeps a
 # table of per-(outgoing, incoming) factor ratios in Python lists; larger
 # pools take a move's ratio from a numpy table of factors and reciprocals.
-# The faster path follows the frequency count L = (k + 1) // 2 more than n.
 # us per dftcf-sa step, pair / numpy path forced (2 CPUs, Python 3.11, numpy
-# 2.4, median of 10 in two interleaved sets, terms in locals on both paths),
-# at n = 60, 80, 100, 120: k = 10 1.8/3.8, 1.8/3.8, 1.9/3.9, 2.0/3.8; k = 20
-# 4.5/6.1, 5.0/5.4, 5.1/5.5, 5.9/5.3. The pair path wins everywhere but at
-# n = 120, k = 20, so n = 120 at k = 10 and n = 100 at k = 20 take the
-# slower path; moving the limit would change the rounding.
-_PAIR_TABLE_LIMIT = 1 << 16
+# 2.4, median of 5 interleaved runs), window (2k/5, 2k/5), at n = 40, 60, 80,
+# 100, 120: k = 10 (L = 3) 1.4/3.8, 1.4/3.5, 1.6/3.6, 1.7/3.7, 1.7/4.0;
+# k = 20 (L = 6) 3.5/5.9, 3.6/5.2, 3.5/5.2, 4.0/5.2, 4.6/5.0; k = 30 (L = 9)
+# 2.5/4.3, 8.7/8.2, 9.1/9.8, 9.5/7.3, 8.6/6.7. The pair path wins up to n^2 L
+# of about 60,000, but its lists trace about 52 bytes per entry (3.1 MB at
+# n = 100, k = 20), so the limit keeps them within 1.7 MB.
+_PAIR_TABLE_LIMIT = 1 << 15
 
 
 class _SwapScore:
@@ -631,8 +637,9 @@ class _NormalScore(_SwapScore):
 
 # Most pool size x frequencies, n L, the DFT-CF score keeps tables for:
 # factor and reciprocal lists and a (2n, L) table trace about 114 bytes per
-# entry, so 30 MB here. It admits crowds of up to 128 from a pool of
-# DFTCF_LIMIT = 4096, and every pool the benchmark and tests anneal.
+# entry, so 30 MB here. From DFTCF_LIMIT = 4096 workers it admits L = 64:
+# k <= 128, or more where pbd.fold_points(window) <= 129 (the admitted k
+# depends on the window). Every pool the benchmark and tests anneal fits.
 DFTCF_SA_LIMIT = 1 << 18
 
 
@@ -641,32 +648,28 @@ class _DftcfScore(_SwapScore):
 
     The state holds, per frequency l of WindowKernel.half_terms, its weight
     times z_l, the product over members of 1 - p (1 - w_l); the score is the
-    real part of their sum plus WindowKernel.w0, clamped to [0, 1]. A swap
-    multiplies in the incoming factors and divides out the outgoing ones.
-    The block loop is generated for L frequencies as well (_dftcf_loop) and
-    holds each term in a local on every pool; only the source of a move's
-    ratio depends on the pool size:
+    real part of their sum plus WindowKernel.w0, clamped to [0, 1]. L =
+    pbd.fold_points(window) // 2 such frequencies: 3 for k = 8, window
+    [3, 5]. No factor vanishes, so a swap multiplies in the incoming
+    factors and divides out the outgoing ones. The block loop is generated
+    for L as well (_dftcf_loop) and holds each term in a local on every
+    pool; only the source of a move's ratio depends on the pool size (us per
+    step, windows (2k/5, 2k/5), medians of 3-6 interleaved runs):
 
     - n^2 L <= _PAIR_TABLE_LIMIT (n workers): each swapped pair multiplies
       the terms by a precomputed row of incoming factor over outgoing
-      factor: about 1.9 us per step at n = 20, k = 8, 0.83-0.89 times a loop
-      over the swaps at n = 20-25, where a list of terms multiplied by one
-      lazy map per pair took 3.6 us.
+      factor: about 1.3 us per step at n = 20, k = 8.
     - larger pools: a (2n, L) table stacks the factor rows on the
       reciprocal rows, and numpy multiplies a move's 2 x swaps rows down to
-      one ratio: about 7.4 us per step at n = 100, k = 20, 9.8 at n = 200,
-      k = 30 and 17.4 at n = 400, k = 60.
+      one ratio: about 6.1 us per step at n = 100, k = 20, 8.6 at n = 200,
+      k = 30 and 13.4 at n = 400, k = 60.
 
-    A factor vanishes only at p = 1/2 on the Nyquist frequency (k odd); the
-    rounded root leaves a residue near 1e-16 there, whose powers underflow
-    once enough such workers are members, so a step that removes one
-    rebuilds the terms from scratch instead of dividing, on either path. A
-    pool without such a worker skips that test. Pools with n L past
-    DFTCF_SA_LIMIT are refused before any table is built.
+    Pools with n L past DFTCF_SA_LIMIT are refused before the kernel or any
+    table is built.
     """
 
     def __init__(self, probs: Sequence[float], window: DemandWindow, members: Sequence[int]):
-        n, frequencies = len(probs), (window.k + 1) // 2
+        n, frequencies = len(probs), pbd.fold_points(window) // 2
         if n * frequencies > DFTCF_SA_LIMIT:
             raise EnumerationLimitError(
                 f"DFT-CF annealing tables are limited to {DFTCF_SA_LIMIT} entries "
@@ -679,16 +682,7 @@ class _DftcfScore(_SwapScore):
             [1.0 - p * one_minus_root for one_minus_root, _ in kernel.half_terms]
             for p in probs
         ]
-        # 1 - p (1 - w) is exactly 0 only for p = 1/2 at w = -1, the Nyquist
-        # frequency that exists for odd k
-        self._singular = {i for i, p in enumerate(probs) if p == 0.5 and window.k % 2 == 1}
-        # a singular worker's reciprocal row is never used: removing it
-        # rebuilds the terms, and the pair loop discards its NaN products
-        nan_row = [math.nan] * frequencies
-        inverses = [
-            nan_row if i in self._singular else [1.0 / f for f in row]
-            for i, row in enumerate(self._factors)
-        ]
+        inverses = [[1.0 / f for f in row] for row in self._factors]
         self._pairs = None
         if n * n * frequencies <= _PAIR_TABLE_LIMIT:
             self._pairs = [
@@ -761,9 +755,9 @@ def _dftcf_loop(frequencies: int, paired: bool) -> _LoopParts:
     paired, each swap multiplies in its pair's ratio row, the first into
     the kept terms. Otherwise each swap adds its factor and reciprocal rows,
     and after the last np.multiply.reduce multiplies them down to one ratio
-    r0 ... r{L-1}, which multiplies the kept terms per frequency. A removed
-    singular worker rebuilds the candidate terms from scratch instead. The
-    score sums w0 + c0 + ... + c{L-1} left to right, as sum(terms, w0) does,
+    r0 ... r{L-1}, which multiplies the kept terms per frequency. On the
+    2L + 1 points of WindowKernel's fold no factor is 0, so every step
+    divides and none rebuilds the terms. The score sums w0 + c0 + ... + c{L-1} left to right, as sum(terms, w0) does,
     so every candidate is the float that a list of terms gives. No step
     calls BLAS, whose kernels round a dot product differently on different
     CPUs; numpy's complex multiply still rounds differently with and
@@ -772,11 +766,10 @@ def _dftcf_loop(frequencies: int, paired: bool) -> _LoopParts:
     """
     ls = range(frequencies)
     terms = "".join(f"t{l}, " for l in ls)
-    moved = "".join(f"c{l}, " for l in ls)
     ratios = "".join(f"r{l}, " for l in ls)
     multiply = "; ".join(f"c{l} = t{l} * r{l}" for l in ls)
     if paired:
-        setup = "pairs, singular, w0 = self._pairs, self._singular, self._w0"
+        setup = "pairs, w0 = self._pairs, self._w0"
         table_ratio = ""
 
         def swap(j):
@@ -785,12 +778,11 @@ def _dftcf_loop(frequencies: int, paired: bool) -> _LoopParts:
             return [ratios + "= pairs[o][i]", "; ".join(f"c{l} *= r{l}" for l in ls)]
     else:
         setup = """\
-singular, w0, n = self._singular, self._w0, len(self._factors)
+w0, n = self._w0, len(self._factors)
 take, product = self._table.take, np.multiply.reduce"""
         table_ratio = f"""\
-else:
-    {ratios}= product(take(rows, axis=0)).tolist()
-    {multiply}
+{ratios}= product(take(rows, axis=0)).tolist()
+{multiply}
 """
 
         def swap(j):
@@ -802,8 +794,6 @@ else:
 {terms}= self._state""",
         swap=swap,
         score=f"""\
-if singular and not singular.isdisjoint(members[:swaps]):
-    {moved}= self._from_scratch(outsiders[:swaps] + members[swaps:])
 {table_ratio}value = ({" + ".join(["w0", *(f"c{l}" for l in ls)])}).real
 candidate = 1.0 if value > 1.0 else value if value > 0.0 else 0.0""",
         adopt="; ".join(f"t{l} = c{l}" for l in ls),
@@ -917,8 +907,8 @@ def sa_select(
     swap counts, positions and acceptance thresholds T log u in batches, so
     no exponential is evaluated per step, and hands each batch to one
     run_block call of the score (_SwapScore), a loop generated for its swap
-    cap: at n = 20, k = 8 a step takes about 1.3 us (normal) and 1.9 us
-    (dftcf), and at n = 100-200, k = 20-30 about 2.7-3.8 and 7.4-9.8 us
+    cap: at n = 20, k = 8 a step takes about 1.3 us (normal) and 1.3 us
+    (dftcf), and at n = 100-200, k = 20-30 about 2.7-3.8 and 6.1-8.6 us
     (2 CPUs, Python 3.11, medians). The initial subset is
     sorted(random.Random(seed).sample(range(n), k)); the run is deterministic
     for a fixed params.seed.

@@ -216,7 +216,7 @@ class TestWindowKernel:
         else:
             theta1 = data.draw(st.integers(0, k))
             window = DemandWindow(theta1, data.draw(st.integers(0, k - theta1)), k)
-        n = k + 1
+        n = pbd.fold_points(window)
         counts = np.arange(window.theta1, window.theta2 + 1)
         whole = np.exp(-2j * np.pi * np.outer(np.arange(n), counts) / n).sum(axis=1) / n
         assert WindowKernel(window)._weights.tobytes() == whole.tobytes()
@@ -236,6 +236,66 @@ class TestWindowKernel:
     def test_size_limit(self):
         with pytest.raises(EnumerationLimitError, match="4096"):
             WindowKernel(DemandWindow(0, 0, pbd.DFTCF_LIMIT + 1))
+
+
+windows = st.integers(1, 14).flatmap(
+    lambda k: st.integers(0, k).flatmap(
+        lambda theta1: st.builds(DemandWindow, st.just(theta1), st.integers(0, k - theta1), st.just(k))
+    )
+)
+fold_probs = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestFold:
+    """WindowKernel's M-point fold gives the window probability of the full PMF."""
+
+    @given(window=windows, data=st.data())
+    # M = 5 for k = 4 and window [0, 3]: on 4 points count 4 would alias onto
+    # count 0, and all four workers positive would score 1 instead of 0
+    @example(window=DemandWindow(0, 1, 4), data=[1.0] * 4)
+    @example(window=DemandWindow(0, 0, 7), data=[0.5] * 7)
+    @example(window=DemandWindow(3, 0, 8), data=[0.0, 0.5, 1.0, 0.5, 0.5, 1.0, 0.0, 0.5])
+    @example(window=DemandWindow(0, 5, 11), data=[0.5, 1.0, 0.0] * 3 + [0.5, 0.5])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bruteforce(self, window, data):
+        if isinstance(data, list):
+            probs = data
+        else:
+            probs = data.draw(st.lists(fold_probs, min_size=window.k, max_size=window.k))
+        reference = float(pbd.pmf_bruteforce(probs)[window.theta1 : window.theta2 + 1].sum())
+        kernel = WindowKernel(window)
+        assert kernel.tau_many(np.asarray([probs]))[0] == pytest.approx(reference, abs=1e-12)
+        scalar = kernel.w0
+        for one_minus_root, weight in kernel.half_terms:
+            scalar += (weight * math.prod(1.0 - p * one_minus_root for p in probs)).real
+        assert scalar == pytest.approx(reference, abs=1e-12)
+
+    def test_points_are_least_odd_at_or_above_the_bound(self):
+        for k in range(1, 41):
+            for theta1 in range(k + 1):
+                for theta0 in range(k - theta1 + 1):
+                    window = DemandWindow(theta1, theta0, k)
+                    bound = k + 1 - min(theta0, theta1)
+                    points = pbd.fold_points(window)
+                    assert points % 2 == 1
+                    assert bound <= points < bound + 2
+                    kernel = WindowKernel(window)
+                    assert kernel._roots.size == kernel._weights.size == points
+                    assert len(kernel.half_terms) == points // 2
+
+    @given(window=windows, p=fold_probs)
+    @example(window=DemandWindow(0, 0, 1), p=0.5)  # k odd: the Nyquist root of k + 1 points
+    @settings(max_examples=200, deadline=None)
+    def test_no_factor_vanishes(self, window, p):
+        kernel = WindowKernel(window)
+        points = pbd.fold_points(window)
+        one_minus_roots = 1.0 - kernel._roots
+        assert np.all(1.0 - p * one_minus_roots != 0.0)
+        # over p in [0, 1], 1 - p (1 - root) runs along the chord from 1 to the
+        # root, nearest 0 at p = 1/2; with M odd, no root is -1 and that
+        # distance is at least sin(pi / 2M)
+        nearest = np.abs(1.0 - 0.5 * one_minus_roots).min()
+        assert nearest >= 0.99 * math.sin(math.pi / (2 * points))
 
 
 class TestPoissonPmf:

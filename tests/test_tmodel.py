@@ -86,6 +86,15 @@ class TestExactSelect:
             result = tmodel.exact_select(pool, window)
             assert result.tau == pytest.approx(tau, abs=1e-9)
 
+    def test_objective_is_the_annealing_score_of_the_pick(self):
+        # both in Python floats, which round alike with and without numpy's
+        # FMA loops; tau_many's complex products do not
+        pool = CandidatePool.from_probs(np.random.default_rng(7).uniform(0, 1, 12))
+        for window in (DemandWindow(2, 3, 6), DemandWindow(0, 4, 7), DemandWindow(1, 1, 5)):
+            result = tmodel.exact_select(pool, window)
+            score = tmodel._DftcfScore(pool.probs.tolist(), window, result.indices)
+            assert result.objective == score.value
+
     def test_infeasible_k(self):
         with pytest.raises(ValueError):
             tmodel.exact_select(pool_of(0.5, 0.5), DemandWindow(1, 1, 3))
@@ -523,16 +532,22 @@ class TestWorkMemory:
 
 
     def test_dftcf_annealing_tables_at_the_limit(self):
-        # 4,096 workers x 64 frequencies (k = 128) is DFTCF_SA_LIMIT entries
+        # 4,096 workers x 64 frequencies (k = 128, window [1, 127] folded onto
+        # 129 points) is DFTCF_SA_LIMIT entries
         probs = np.random.default_rng(4096).uniform(0, 1, 4096).tolist()
-        window = DemandWindow(theta1=10, theta0=10, k=128)
+        window = DemandWindow(theta1=1, theta0=1, k=128)
+        assert pbd.fold_points(window) // 2 == 64
         assert len(probs) * 64 == tmodel.DFTCF_SA_LIMIT
         assert traced_peak_mb(lambda: tmodel._DftcfScore(probs, window, range(128))) <= 36
 
-        # a 65th frequency is refused before any table is built
+        # a 65th frequency (k = 130, 131 points) is refused before the kernel
+        # or any table is built
+        past = DemandWindow(1, 1, 130)
+        assert pbd.fold_points(past) // 2 == 65
+
         def refuse():
             with pytest.raises(EnumerationLimitError, match="DFT-CF annealing tables"):
-                tmodel._DftcfScore(probs, DemandWindow(10, 10, 130), range(130))
+                tmodel._DftcfScore(probs, past, range(130))
 
         assert traced_peak_mb(refuse) <= 0.1
 
@@ -807,7 +822,7 @@ class TestSwapScore:
     POOLS = {
         # pair-ratio table, even k
         "uniform": (np.random.default_rng(41).uniform(0, 1, 25).tolist(), 10),
-        # p = 1/2 with odd k zeroes the Nyquist factor: from-scratch fallback
+        # p = 1/2 with odd k, which zeroed the Nyquist factor of k + 1 points
         "nyquist": ([0.0, 0.5, 1.0, 0.5, 0.2, 0.9, 0.5, 0.0, 1.0, 0.35, 0.65, 0.5, 0.1, 0.8], 7),
         "extremes": ([0.0, 0.5, 1.0] * 5, 5),
         # too large for the pair table: factor and reciprocal per swap
@@ -838,8 +853,9 @@ class TestSwapScore:
                 assert abs(score.value - from_scratch_score(objective, probs, members, window)) <= 1e-12
 
     def test_underflowed_nyquist_term_recovers(self):
-        # 25 members at p = 1/2 drive the Nyquist product below the smallest
-        # double; swapping them out one by one must restore it
+        # 25 members at p = 1/2 drove the Nyquist product of k + 1 = 26 points
+        # below the smallest double; on the 23 folded points, swapping them
+        # out one by one must track the from-scratch score within 1e-12
         self.check_nyquist_recovery([0.5] * 25 + [0.05, 0.95] * 12 + [0.05], pairs=True)
 
     def test_underflowed_nyquist_term_recovers_on_large_pool(self):
@@ -857,14 +873,6 @@ class TestSwapScore:
             positions += [score.outsiders.index(other), *padding]
             check_step(score, "dftcf", probs, window, 1, positions, accept=True)
 
-    def test_zero_factor_only_at_half_with_odd_k(self):
-        probs, k = self.POOLS["nyquist"]
-        halves = {i for i, p in enumerate(probs) if p == 0.5}
-        odd = tmodel._DftcfScore(probs, DemandWindow(1, 1, k), range(k))
-        even = tmodel._DftcfScore(probs, DemandWindow(1, 1, k + 1), range(k + 1))
-        assert odd._singular == halves
-        assert even._singular == set()
-
     def test_pair_table_only_for_small_pools(self):
         for name, has_table in (("uniform", True), ("large", False)):
             probs, k = self.POOLS[name]
@@ -878,13 +886,13 @@ class TestSwapScore:
         probs = self.POOLS["uniform"][0] * 12
         dftcf, normal = tmodel._dftcf_loop, tmodel._normal_loop
         cases = [
-            # k = 1 and 2 share L = 1 and swap cap 1; n = 50, k = 49 is the
-            # largest L, 25, the pair table admits
+            # k = 1 and 2 share L = 1 and swap cap 1; n = 40, k = 39 is the
+            # largest L, 20, the pair table admits
             (tmodel._DftcfScore, 25, 1, (1, dftcf, 1, True)),
             (tmodel._DftcfScore, 25, 2, (1, dftcf, 1, True)),
             (tmodel._DftcfScore, 25, 8, (4, dftcf, 4, True)),
             (tmodel._DftcfScore, 25, 8, (4, dftcf, 4, True)),
-            (tmodel._DftcfScore, 50, 49, (1, dftcf, 25, True)),
+            (tmodel._DftcfScore, 40, 39, (1, dftcf, 20, True)),
             # past the pair table: one loop per swap cap and L
             (tmodel._DftcfScore, 120, 21, (10, dftcf, 11, False)),
             (tmodel._DftcfScore, 110, 20, (10, dftcf, 10, False)),
@@ -919,7 +927,9 @@ class PerStepScore:
     try_swap scores one move from the tables of a _NormalScore or
     _DftcfScore and leaves the subset as it was; accept adopts the last move
     tried. The arithmetic is that of the old try_swap methods, operation for
-    operation, except past the pair table: there the ratio of the move's
+    operation, without their rebuild for a zero Nyquist factor, which the
+    odd fold of WindowKernel has no longer, and except past the pair table:
+    there the ratio of the move's
     rows comes from np.multiply.reduce and multiplies the terms one
     frequency at a time, which are then summed as on the pair path.
     """
@@ -942,9 +952,6 @@ class PerStepScore:
                 mean += score._probs[i] - score._probs[o]
                 var += score._var_terms[i] - score._var_terms[o]
             state = mean, var
-            value = score._value(state)
-        elif not score._singular.isdisjoint(members[:swaps]):
-            state = score._from_scratch(outsiders[:swaps] + members[swaps:])
             value = score._value(state)
         elif score._pairs is not None:
             state = score._state
@@ -1003,7 +1010,8 @@ def per_step_sa_select(pool, window, objective, params):
 
 
 # pools for every path of the block loops: the pair table, the numpy table,
-# and p = 1/2 with odd k on each (GOLDEN_LARGE holds 0.5 at index 47)
+# and p = 1/2 with odd k, once a zero Nyquist factor, on each (GOLDEN_LARGE
+# holds 0.5 at index 47)
 GOLDEN_LARGE = [((37 * i + 11) % 100) / 100 for i in range(120)]
 NYQUIST_POOL = [0.5] * 25 + [0.05, 0.95] * 12 + [0.05]
 # the block loops write out this many swaps and loop over the rest
@@ -1011,14 +1019,15 @@ UNROLLED = tmodel._UNROLLED_SWAPS
 SHORT_SCHEDULE = SaParams(t_end=0.05, r=40)
 # swap cap 1; cap UNROLLED, every swap written out; cap UNROLLED + 1, whose
 # last swap runs in the loop, with p = 1/2 at index 47 and odd k; n = 100,
-# k = 20, on the numpy table path for dftcf; and the largest frequency count
-# DFTCF_SA_LIMIT admits, L = 362 at n = 724, k = 723 (L = 363 needs n >= 725)
+# k = 20, window [8, 12] (L = 6), on the numpy table path for dftcf; and the
+# largest frequency count DFTCF_SA_LIMIT admits, L = 362 at n = 724, k = 723
+# with theta0 = 0 (725 points; L = 363 needs n >= 725)
 LOOP_EDGES = [
     (GOLDEN_LARGE[:5], DemandWindow(1, 0, 3), SHORT_SCHEDULE),
     ((GOLDEN_LARGE * 2)[: 4 * UNROLLED], DemandWindow(25, 25, 2 * UNROLLED), SHORT_SCHEDULE),
     ((GOLDEN_LARGE * 2)[: 4 * UNROLLED + 6], DemandWindow(26, 26, 2 * UNROLLED + 3), SHORT_SCHEDULE),
     (GOLDEN_LARGE[:100], DemandWindow(8, 8, 20), SHORT_SCHEDULE),
-    ((GOLDEN_LARGE * 7)[:724], DemandWindow(361, 361, 723), SHORT_SCHEDULE),
+    ((GOLDEN_LARGE * 7)[:724], DemandWindow(361, 0, 723), SHORT_SCHEDULE),
 ]
 
 
@@ -1076,9 +1085,12 @@ class TestBlockLoops:
     @example(case=(NYQUIST_POOL, DemandWindow(3, 12, 25), SaParams(t_end=0.05, r=40)), objective="dftcf")
     @example(case=(NYQUIST_POOL, DemandWindow(3, 12, 25), SaParams(t_end=0.05, r=40)), objective="normal")
     # both ends of the pair kernel's frequency count: L = 1 at k = 1 (with
-    # singular workers) and k = 2, and L = 25 at n = 50, k = 49
+    # p = 1/2 workers) and k = 2, and L = 20 at n = 40, k = 39; n = 50,
+    # k = 49, window [20, 29] folds onto 31 points, L = 15, past the pair table
     @example(case=(NYQUIST_POOL, DemandWindow(1, 0, 1), SaParams(t_end=0.05, r=40)), objective="dftcf")
     @example(case=(GOLDEN_LARGE[:30], DemandWindow(1, 1, 2), SaParams(t_end=0.05, r=40)), objective="dftcf")
+    @example(case=(NYQUIST_POOL[:40], DemandWindow(0, 0, 39), SaParams(t_end=0.05, r=40)), objective="dftcf")
+    @example(case=(GOLDEN_LARGE[50:90], DemandWindow(0, 0, 39), SaParams(t_end=0.05, r=40)), objective="dftcf")
     @example(case=(NYQUIST_POOL, DemandWindow(20, 20, 49), SaParams(t_end=0.05, r=40)), objective="dftcf")
     @example(case=(GOLDEN_LARGE[50:100], DemandWindow(20, 20, 49), SaParams(t_end=0.05, r=40)), objective="dftcf")
     @example(case=LOOP_EDGES[0], objective="normal")
@@ -1099,6 +1111,13 @@ class TestBlockLoops:
         assert result.indices == indices
         assert result.objective == value
         assert result.tau == pbd.window_prob(pool.probs[list(indices)], window)
+
+    def test_large_pool_edges_take_the_numpy_path(self):
+        # LOOP_EDGES[3] and TABLE_PATH_STEPS: n = 100, k = 20, window [8, 12];
+        # LOOP_EDGES[4]: the largest L
+        for (probs, window, _), frequencies in zip(LOOP_EDGES[3:], (6, 362)):
+            assert pbd.fold_points(window) // 2 == frequencies
+            assert tmodel._DftcfScore(probs, window, range(window.k))._pairs is None
 
     @pytest.mark.skipif(
         "openblas" not in numpy_blas().lower() or platform.machine() not in ("x86_64", "AMD64"),
@@ -1125,16 +1144,16 @@ class TestBlockLoops:
     def test_pair_kernel_terms_are_reference_bit_for_bit(self, data):
         # every step is accepted, so each candidate's value and terms are kept
         # and compared, not only the decisions they lead to
-        if data is None:  # L = 25, the largest, with singular workers
-            probs, window, rng = NYQUIST_POOL, DemandWindow(20, 20, 49), random.Random(0)
+        if data is None:  # L = 20, the largest, with 25 workers at p = 1/2
+            probs, window, rng = NYQUIST_POOL[:40], DemandWindow(0, 0, 39), random.Random(0)
         else:
             k = data.draw(st.integers(1, 25))
-            largest = math.isqrt(tmodel._PAIR_TABLE_LIMIT // ((k + 1) // 2))
+            theta1 = data.draw(st.integers(0, k))
+            window = DemandWindow(theta1, data.draw(st.integers(0, k - theta1)), k)
+            largest = math.isqrt(tmodel._PAIR_TABLE_LIMIT // (pbd.fold_points(window) // 2))
             n = data.draw(st.integers(k + 1, min(largest, 120)))
             value = st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), st.floats(0.0, 1.0))
             probs = data.draw(st.lists(value, min_size=n, max_size=n))
-            theta1 = data.draw(st.integers(0, k))
-            window = DemandWindow(theta1, data.draw(st.integers(0, k - theta1)), k)
             rng = random.Random(data.draw(st.integers(0, 2**32)))
         n, k = len(probs), window.k
         score = tmodel._DftcfScore(probs, window, rng.sample(range(n), k))
