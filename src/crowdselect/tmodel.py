@@ -246,7 +246,7 @@ def exact_select(
                 raise TimeBudgetError(time_budget_s, elapsed)
     if best is None:
         raise RuntimeError("no subset has a comparable window probability")
-    # the pick's tau as dftcf-sa scores it, in Python floats alike on every CPU
+    # the pick's tau in Python floats, as dftcf-sa scores it: the same on every CPU
     terms = [weight for _, weight in kernel.half_terms]
     for p in pool.probs[list(best)].tolist():
         factors = [1.0 - p * one_minus_root for one_minus_root, _ in kernel.half_terms]
@@ -757,12 +757,12 @@ def _dftcf_loop(frequencies: int, paired: bool) -> _LoopParts:
     and after the last np.multiply.reduce multiplies them down to one ratio
     r0 ... r{L-1}, which multiplies the kept terms per frequency. On the
     2L + 1 points of WindowKernel's fold no factor is 0, so every step
-    divides and none rebuilds the terms. The score sums w0 + c0 + ... + c{L-1} left to right, as sum(terms, w0) does,
-    so every candidate is the float that a list of terms gives. No step
-    calls BLAS, whose kernels round a dot product differently on different
-    CPUs; numpy's complex multiply still rounds differently with and
-    without its FMA loops (x86-64-v3), and so can a candidate past the pair
-    table.
+    divides. The score sums w0 + c0 + ... + c{L-1} left to right, as
+    sum(terms, w0) does, so every candidate is the float that a list of
+    terms gives. No step calls BLAS, whose kernels round a dot product
+    differently on different CPUs; numpy's complex multiply still rounds
+    differently with and without its FMA loops (x86-64-v3), and so can a
+    candidate past the pair table.
     """
     ls = range(frequencies)
     terms = "".join(f"t{l}, " for l in ls)

@@ -927,9 +927,8 @@ class PerStepScore:
     try_swap scores one move from the tables of a _NormalScore or
     _DftcfScore and leaves the subset as it was; accept adopts the last move
     tried. The arithmetic is that of the old try_swap methods, operation for
-    operation, without their rebuild for a zero Nyquist factor, which the
-    odd fold of WindowKernel has no longer, and except past the pair table:
-    there the ratio of the move's
+    operation, except that no step rebuilds the terms (the folded kernel has
+    no zero factor) and that past the pair table the ratio of the move's
     rows comes from np.multiply.reduce and multiplies the terms one
     frequency at a time, which are then summed as on the pair path.
     """
