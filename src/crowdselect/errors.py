@@ -1,5 +1,7 @@
 """Shared exception types for the selection engines."""
 
+import time
+
 
 class DegenerateWindowError(ValueError):
     """Raised when a closed-form peak is requested for a zero-width demand window.
@@ -22,3 +24,10 @@ class TimeBudgetError(RuntimeError):
         )
         self.budget_s = budget_s
         self.elapsed_s = elapsed_s
+
+
+def check_time_budget(started: float, budget_s: float | None) -> None:
+    """Raise TimeBudgetError once budget_s seconds (None: no budget) have passed since started."""
+    elapsed = time.perf_counter() - started
+    if budget_s is not None and elapsed > budget_s:
+        raise TimeBudgetError(budget_s, elapsed)

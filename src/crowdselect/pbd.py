@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -160,11 +160,12 @@ class WindowKernel:
     characteristic-function product per frequency. tau_many() scores a
     batch of candidate subsets at once for exact enumeration.
 
-    w0 and half_terms hold the same constants as Python scalars for the
-    annealing score. Frequencies l and M - l are conjugate, so the window
-    probability is w0 plus the real part of the sum, over the (M - 1) / 2
-    (one_minus_root, weight) pairs of half_terms, of weight times the
-    product over members of 1 - p * one_minus_root; weight counts both.
+    w0 and half_terms hold the same constants as Python scalars for
+    crowd_terms(), whose floats round alike on every CPU. Frequencies l and
+    M - l are conjugate, so the window probability, clamped to [0, 1], is
+    w0 plus the real part of the sum, over the (M - 1) / 2 (one_minus_root,
+    weight) pairs of half_terms, of weight times the product over members
+    of their factors(), 1 - p * one_minus_root; weight counts both.
     """
 
     def __init__(self, window: DemandWindow):
@@ -207,6 +208,18 @@ class WindowKernel:
             np.subtract(1.0, factors, out=factors)
             acc += weight * np.prod(factors, axis=1)
         return np.clip(acc.real, 0.0, 1.0)
+
+    def factors(self, p: float) -> list[complex]:
+        """One member's factors 1 - p * one_minus_root, one per pair of half_terms."""
+        return [1.0 - p * one_minus_root for one_minus_root, _ in self.half_terms]
+
+    def crowd_terms(self, rows: Iterable[list[complex]]) -> tuple[list[complex], float]:
+        """A crowd's terms, the weights times each member's factors() row in order, and its tau."""
+        terms = [weight for _, weight in self.half_terms]
+        for row in rows:
+            terms = [term * factor for term, factor in zip(terms, row)]
+        value = sum(terms, self.w0).real
+        return terms, 1.0 if value > 1.0 else value if value > 0.0 else 0.0
 
 
 def poisson_window_prob(rate: float, window: DemandWindow) -> float:

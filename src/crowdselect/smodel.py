@@ -15,9 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EnumerationLimitError, TimeBudgetError
+from .errors import EnumerationLimitError, check_time_budget
 
-# Exact selection refuses to search more subsets than this.
+# Exact selection refuses to search more subsets than this (check_enumeration_limit).
 ENUMERATION_LIMIT = 10_000_000
 
 # finite entries near the float limit can still overflow a crowd's pair sum
@@ -34,6 +34,15 @@ _PRUNE_SLACK = 1e-9
 _NO_OVERFLOW = 1e300
 # largest |sim[i, j] - sim[j, i]| a similarity matrix may have
 _SYMMETRY_TOL = 1e-9
+
+
+def check_enumeration_limit(n: int, k: int) -> None:
+    """Refuse an exact search when n workers have more size-k subsets than ENUMERATION_LIMIT."""
+    total = math.comb(n, k)
+    if total > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"C({n}, {k}) = {total} subsets exceeds the enumeration limit {ENUMERATION_LIMIT}"
+        )
 
 
 def check_similarity_matrix(sim) -> np.ndarray:
@@ -215,11 +224,7 @@ def exact_select(sim, k: int, time_budget_s: float | None = None) -> tuple[int, 
     n = matrix.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    total = math.comb(n, k)
-    if total > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"C({n}, {k}) = {total} subsets exceeds the enumeration limit {ENUMERATION_LIMIT}"
-        )
+    check_enumeration_limit(n, k)
     if k == 1:
         # every single worker has pair sum 0
         return (0,)
@@ -292,10 +297,7 @@ def _prefix_search(
                 child_prefix = np.column_stack((prefix[rows[keep]], nxt[keep]))
                 stack.append((child_prefix, child_sum[keep], child_mass[keep],
                               grow_rows, grow_next, 0))
-        if time_budget_s is not None:
-            elapsed = time.perf_counter() - started
-            if elapsed > time_budget_s:
-                raise TimeBudgetError(time_budget_s, elapsed)
+        check_time_budget(started, time_budget_s)
     return best
 
 
@@ -319,8 +321,7 @@ def _seeds_best_first(
         # a boolean mask reads the upper triangle row by row, as triu_indices does
         sums[first[lo] : first[hi]] = block[cols > cols[lo:hi, None]]
     order = np.argsort(sums)
-    sums.sort()
-    return order, sums
+    return order, sums[order]
 
 
 def greedy_select(sim, k: int) -> tuple[int, ...]:

@@ -25,9 +25,9 @@ from typing import Callable, Hashable, Iterator, Sequence
 import numpy as np
 
 from . import pbd
-from .errors import EnumerationLimitError, TimeBudgetError
+from .errors import EnumerationLimitError, check_time_budget
 from .pbd import DemandWindow, WindowKernel
-from .smodel import ENUMERATION_LIMIT
+from .smodel import check_enumeration_limit
 
 # Annealing defaults: initial/terminal temperature, sweeps per level, cooling ratio.
 SA_T_INI = 1.0
@@ -226,11 +226,7 @@ def exact_select(
     started = time.perf_counter()
     _check_feasible(pool, window)
     n, k = len(pool), window.k
-    total = math.comb(n, k)
-    if total > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"C({n}, {k}) = {total} subsets exceeds the enumeration limit {ENUMERATION_LIMIT}"
-        )
+    check_enumeration_limit(n, k)
     kernel = WindowKernel(window)
     best_tau = -math.inf
     best: tuple[int, ...] | None = None
@@ -240,18 +236,11 @@ def exact_select(
         if taus[top] > best_tau:
             best_tau = float(taus[top])
             best = tuple(int(i) for i in block[top])
-        if time_budget_s is not None:
-            elapsed = time.perf_counter() - started
-            if elapsed > time_budget_s:
-                raise TimeBudgetError(time_budget_s, elapsed)
+        check_time_budget(started, time_budget_s)
     if best is None:
         raise RuntimeError("no subset has a comparable window probability")
     # the pick's tau in Python floats, as dftcf-sa scores it: the same on every CPU
-    terms = [weight for _, weight in kernel.half_terms]
-    for p in pool.probs[list(best)].tolist():
-        factors = [1.0 - p * one_minus_root for one_minus_root, _ in kernel.half_terms]
-        terms = list(map(mul, terms, factors))
-    tau = min(1.0, max(0.0, sum(terms, kernel.w0).real))
+    _, tau = kernel.crowd_terms(map(kernel.factors, pool.probs[list(best)].tolist()))
     return _result(pool, window, best, tau, "exact", started)
 
 
@@ -595,8 +584,8 @@ class _SwapScore:
     k = 8 a Normal step took 3.4 us with method calls and 2.1 us in one
     loop, and unrolling its swaps takes 0.69-0.72 times the time of that
     loop at n = 20-25 (1.3 against 1.9 us, medians of 7 interleaved runs).
-    resync recomputes the score from scratch, discarding the rounding that
-    incremental updates accumulate.
+    Each score's resync() recomputes its state and value from scratch,
+    discarding the rounding that incremental updates accumulate.
     """
 
     def __init__(self, n: int, members: Sequence[int], loop: Callable, *args):
@@ -608,10 +597,6 @@ class _SwapScore:
         self.run_block = MethodType(_block_loop(unrolled, loop, *args), self)
         self.resync()
 
-    def resync(self) -> None:
-        self._state = self._from_scratch(self.members)
-        self.value = self._value(self._state)
-
 
 class _NormalScore(_SwapScore):
     """Continuity-corrected Normal window score over a running mean and variance."""
@@ -622,12 +607,13 @@ class _NormalScore(_SwapScore):
         self._window = window
         super().__init__(len(self._probs), members, _normal_loop)
 
-    def _from_scratch(self, members):
+    def resync(self) -> None:
         mean = var = 0.0
-        for i in members:
+        for i in self.members:
             mean += self._probs[i]
             var += self._var_terms[i]
-        return mean, var
+        self._state = mean, var
+        self.value = self._value(self._state)
 
     def _value(self, state):
         mean, var = state
@@ -647,14 +633,15 @@ class _DftcfScore(_SwapScore):
     """Exact window probability over incrementally kept characteristic-function terms.
 
     The state holds, per frequency l of WindowKernel.half_terms, its weight
-    times z_l, the product over members of 1 - p (1 - w_l); the score is the
-    real part of their sum plus WindowKernel.w0, clamped to [0, 1]. L =
-    pbd.fold_points(window) // 2 such frequencies: 3 for k = 8, window
-    [3, 5]. No factor vanishes, so a swap multiplies in the incoming
-    factors and divides out the outgoing ones. The block loop is generated
-    for L as well (_dftcf_loop) and holds each term in a local on every
-    pool; only the source of a move's ratio depends on the pool size (us per
-    step, windows (2k/5, 2k/5), medians of 3-6 interleaved runs):
+    times z_l, the product over members of 1 - p (1 - w_l); the score is
+    w0 plus the real part of their sum, clamped to [0, 1] (resync takes
+    both from WindowKernel.crowd_terms). L = pbd.fold_points(window) // 2
+    such frequencies: 3 for k = 8, window [3, 5]. No factor vanishes, so a
+    swap multiplies in the incoming factors and divides out the outgoing
+    ones. The block loop is generated for L as well (_dftcf_loop) and holds
+    each term in a local on every pool; only the source of a move's ratio
+    depends on the pool size (us per step, windows (2k/5, 2k/5), medians of
+    3-6 interleaved runs):
 
     - n^2 L <= _PAIR_TABLE_LIMIT (n workers): each swapped pair multiplies
       the terms by a precomputed row of incoming factor over outgoing
@@ -675,13 +662,8 @@ class _DftcfScore(_SwapScore):
                 f"DFT-CF annealing tables are limited to {DFTCF_SA_LIMIT} entries "
                 f"(pool size x frequencies), got {n} x {frequencies}"
             )
-        kernel = WindowKernel(window)
-        self._w0 = kernel.w0
-        self._weights = [weight for _, weight in kernel.half_terms]
-        self._factors = [
-            [1.0 - p * one_minus_root for one_minus_root, _ in kernel.half_terms]
-            for p in probs
-        ]
+        self._kernel = WindowKernel(window)
+        self._factors = list(map(self._kernel.factors, probs))
         inverses = [[1.0 / f for f in row] for row in self._factors]
         self._pairs = None
         if n * n * frequencies <= _PAIR_TABLE_LIMIT:
@@ -692,17 +674,8 @@ class _DftcfScore(_SwapScore):
             self._table = np.array(self._factors + inverses)
         super().__init__(n, members, _dftcf_loop, frequencies, self._pairs is not None)
 
-    def _from_scratch(self, members):
-        terms = self._weights
-        for i in members:
-            terms = list(map(mul, terms, self._factors[i]))
-        return terms
-
-    def _value(self, terms):
-        value = sum(terms, self._w0).real
-        if value > 1.0:
-            return 1.0
-        return value if value > 0.0 else 0.0
+    def resync(self) -> None:
+        self._state, self.value = self._kernel.crowd_terms(self._factors[i] for i in self.members)
 
 
 # The lines of one score's block loop that _block_loop fills in: setup binds
@@ -769,7 +742,7 @@ def _dftcf_loop(frequencies: int, paired: bool) -> _LoopParts:
     ratios = "".join(f"r{l}, " for l in ls)
     multiply = "; ".join(f"c{l} = t{l} * r{l}" for l in ls)
     if paired:
-        setup = "pairs, w0 = self._pairs, self._w0"
+        setup = "pairs, w0 = self._pairs, self._kernel.w0"
         table_ratio = ""
 
         def swap(j):
@@ -778,7 +751,7 @@ def _dftcf_loop(frequencies: int, paired: bool) -> _LoopParts:
             return [ratios + "= pairs[o][i]", "; ".join(f"c{l} *= r{l}" for l in ls)]
     else:
         setup = """\
-w0, n = self._w0, len(self._factors)
+w0, n = self._kernel.w0, len(self._factors)
 take, product = self._table.take, np.multiply.reduce"""
         table_ratio = f"""\
 {ratios}= product(take(rows, axis=0)).tolist()
@@ -927,9 +900,13 @@ def sa_select(
     probs = [float(p) for p in pool.probs]
 
     method = f"{objective}-sa"
-    if n == k:
-        full = list(range(n))
-        return _result(pool, window, full, make_score(probs, window, full).value, method, started)
+    if n == k:  # the pool is the only pick: score it without annealing tables
+        if objective == "dftcf":
+            kernel = WindowKernel(window)
+            _, value = kernel.crowd_terms(map(kernel.factors, probs))
+        else:
+            value = make_score(probs, window, range(n)).value
+        return _result(pool, window, range(n), value, method, started)
 
     rng = random.Random(params.seed)
     score = make_score(probs, window, sorted(rng.sample(range(n), k)))

@@ -234,9 +234,10 @@ class TestSelectT:
 
     @pytest.mark.parametrize("k", [130, 4096])
     def test_dftcf_annealing_tables_past_limit_exit_2(self, capsys, k):
-        # 4,096 workers x 65 or 2,048 frequencies is past DFTCF_SA_LIMIT; at
-        # k = 4,096 the tables would trace about 0.95 GB
-        probs = ",".join(["0.3"] * 4096)
+        # 4,097 workers x 65 or 2,048 frequencies is past DFTCF_SA_LIMIT; at
+        # k = 4,096 the tables would trace about 0.95 GB. One worker more than
+        # k: a pool of k workers is the only pick and builds no tables
+        probs = ",".join(["0.3"] * 4097)
         started = time.perf_counter()
         code, out, err = run(
             capsys, "select", "t", "--probs", probs, "-k", str(k), "--theta1", "1",

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crowdselect import pbd, tmodel
+from crowdselect import pbd, smodel, tmodel
 from crowdselect.errors import EnumerationLimitError, TimeBudgetError
 from crowdselect.pbd import DemandWindow
 from crowdselect.tmodel import CandidatePool, SaParams
@@ -103,6 +103,26 @@ class TestExactSelect:
         pool = CandidatePool.from_probs(np.full(80, 0.5))
         with pytest.raises(EnumerationLimitError):
             tmodel.exact_select(pool, DemandWindow(2, 2, 12))
+
+    def test_enumeration_guard_boundary_shared_with_smodel(self, monkeypatch):
+        # both exact solvers enumerate exactly ENUMERATION_LIMIT subsets and
+        # refuse one worker more with one message
+        monkeypatch.setattr(smodel, "ENUMERATION_LIMIT", math.comb(8, 3))
+        probs = np.random.default_rng(56).uniform(0, 1, 9)
+        sim = np.random.default_rng(57).uniform(-1, 0, (9, 9))
+        sim = sim + sim.T
+        window = DemandWindow(1, 1, 3)
+        assert len(tmodel.exact_select(CandidatePool.from_probs(probs[:8]), window).indices) == 3
+        assert len(smodel.exact_select(sim[:8, :8], 3)) == 3
+        messages = []
+        for refuse in (
+            lambda: tmodel.exact_select(CandidatePool.from_probs(probs), window),
+            lambda: smodel.exact_select(sim, 3),
+        ):
+            with pytest.raises(EnumerationLimitError) as refused:
+                refuse()
+            messages.append(str(refused.value))
+        assert messages == ["C(9, 3) = 84 subsets exceeds the enumeration limit 56"] * 2
 
     def test_time_budget(self):
         rng = np.random.default_rng(9)
@@ -664,6 +684,21 @@ class TestSaSelect:
         result = tmodel.sa_select(pool, DemandWindow(1, 1, 2), params=SaParams(seed=5))
         assert result.subset == (0, 1)
 
+    def test_pool_equals_k_builds_no_annealing_tables(self, monkeypatch):
+        # 800 workers x 400 frequencies would pass DFTCF_SA_LIMIT; the pool is
+        # the only pick, scored as exact_select scores its pick
+        class Refused(tmodel._DftcfScore):
+            def __init__(self, *args):
+                raise AssertionError("built a swap score")
+
+        pool = CandidatePool.from_probs(np.random.default_rng(800).uniform(0, 1, 800))
+        window = DemandWindow(0, 0, 800)
+        monkeypatch.setitem(tmodel._SWAP_SCORES, "dftcf", Refused)
+        result = tmodel.sa_select(pool, window, "dftcf")
+        assert result.indices == tuple(range(800))
+        exact = tmodel.exact_select(pool, window)
+        assert float.hex(result.objective) == float.hex(exact.objective)
+
     def test_finds_optimum_in_tiny_space(self):
         pool = pool_of(0.1, 0.5, 0.9)
         result = tmodel.sa_select(
@@ -952,18 +987,19 @@ class PerStepScore:
                 var += score._var_terms[i] - score._var_terms[o]
             state = mean, var
             value = score._value(state)
-        elif score._pairs is not None:
-            state = score._state
-            for o, i in moves:
-                state = map(mul, state, score._pairs[o][i])
-            state = [*state]
-            value = score._value(state)
         else:
-            n = len(score._factors)
-            rows = [row for o, i in moves for row in (i, n + o)]
-            ratio = np.multiply.reduce(score._table.take(rows, axis=0)).tolist()
-            state = list(map(mul, score._state, ratio))
-            value = score._value(state)
+            if score._pairs is not None:
+                state = score._state
+                for o, i in moves:
+                    state = map(mul, state, score._pairs[o][i])
+                state = [*state]
+            else:
+                n = len(score._factors)
+                rows = [row for o, i in moves for row in (i, n + o)]
+                ratio = np.multiply.reduce(score._table.take(rows, axis=0)).tolist()
+                state = list(map(mul, score._state, ratio))
+            value = sum(state, score._kernel.w0).real
+            value = 1.0 if value > 1.0 else value if value > 0.0 else 0.0
         self._pending = swaps, state, value
         return value
 
