@@ -22,16 +22,22 @@ from .errors import DegenerateWindowError, EnumerationLimitError
 # Guard for pmf_bruteforce: enumerating 2**25 subsets is the practical ceiling.
 BRUTEFORCE_LIMIT = 25
 
-# Guard for pmf_dftcf, whose cost grows as n^2: 0.4 s at 4096 workers, 1.9 s
-# at 8192.
-DFTCF_LIMIT = 4096
-
 # Imaginary residue allowed in the DFT output before it is discarded.
 IMAG_TOL = 1e-9
 
 # Entries of the characteristic-function factor table that pmf_dftcf forms
 # at once: 1 MB of complex values per block.
 _PMF_BLOCK = 1 << 16
+
+# Guard for pmf_dftcf, whose cost grows as n^2: 0.4 s at 4096 workers, 1.9 s
+# at 8192.
+DFTCF_LIMIT = 4096
+
+
+def check_dftcf_limit(k: int) -> None:
+    """Refuse a DFT-CF crowd of more than DFTCF_LIMIT workers, before any work on it."""
+    if k > DFTCF_LIMIT:
+        raise EnumerationLimitError(f"DFT-CF crowds are limited to {DFTCF_LIMIT} workers, got {k}")
 
 
 def as_prob_array(probs: Sequence[float]) -> np.ndarray:
@@ -115,8 +121,7 @@ def pmf_dftcf(probs: Sequence[float]) -> np.ndarray:
     """
     p = as_prob_array(probs)
     n = p.size
-    if n > DFTCF_LIMIT:
-        raise EnumerationLimitError(f"DFT-CF PMF limited to {DFTCF_LIMIT} workers, got {n}")
+    check_dftcf_limit(n)
     roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     z = np.empty(n + 1, dtype=complex)
     rows = max(1, _PMF_BLOCK // n)
@@ -169,10 +174,7 @@ class WindowKernel:
     """
 
     def __init__(self, window: DemandWindow):
-        if window.k > DFTCF_LIMIT:
-            raise EnumerationLimitError(
-                f"DFT-CF window kernel limited to k = {DFTCF_LIMIT}, got {window.k}"
-            )
+        check_dftcf_limit(window.k)
         self.window = window
         n = fold_points(window)
         freqs = np.arange(n)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import add, mul
 from types import MethodType
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -153,12 +153,8 @@ def _result(
 def _check_feasible(pool: CandidatePool, window: DemandWindow) -> None:
     if window.k > len(pool):
         raise ValueError(f"cannot select k = {window.k} from {len(pool)} candidates")
-    # every solver ends scoring its pick with pbd.window_prob, which refuses
-    # more than DFTCF_LIMIT workers; refuse such a k before any work
-    if window.k > pbd.DFTCF_LIMIT:
-        raise EnumerationLimitError(
-            f"crowds are limited to k = {pbd.DFTCF_LIMIT} workers, got {window.k}"
-        )
+    # every pick is scored by pbd.window_prob: refuse its k before any work
+    pbd.check_dftcf_limit(window.k)
 
 
 # Entries per work array of exact enumeration: a (rows, k) block holds about
@@ -607,18 +603,17 @@ class _NormalScore(_SwapScore):
         self._window = window
         super().__init__(len(self._probs), members, _normal_loop)
 
-    def resync(self) -> None:
+    @staticmethod
+    def crowd(probs: Iterable[float], window: DemandWindow) -> tuple[tuple[float, float], float]:
+        """A fixed crowd's sums of p and p(1 - p) in member order, and their window score."""
         mean = var = 0.0
-        for i in self.members:
-            mean += self._probs[i]
-            var += self._var_terms[i]
-        self._state = mean, var
-        self.value = self._value(self._state)
+        for p in probs:
+            mean += p
+            var += p * (1.0 - p)
+        return (mean, var), pbd.normal_window_prob(mean, math.sqrt(var), window)
 
-    def _value(self, state):
-        mean, var = state
-        # a running variance can end a rounding step below an exact 0
-        return pbd.normal_window_prob(mean, math.sqrt(max(var, 0.0)), self._window)
+    def resync(self) -> None:
+        self._state, self.value = self.crowd((self._probs[i] for i in self.members), self._window)
 
 
 # Most pool size x frequencies, n L, the DFT-CF score keeps tables for:
@@ -674,6 +669,12 @@ class _DftcfScore(_SwapScore):
             self._table = np.array(self._factors + inverses)
         super().__init__(n, members, _dftcf_loop, frequencies, self._pairs is not None)
 
+    @staticmethod
+    def crowd(probs: Iterable[float], window: DemandWindow) -> tuple[list[complex], float]:
+        """A fixed crowd's terms and window probability, on a kernel built for it."""
+        kernel = WindowKernel(window)
+        return kernel.crowd_terms(map(kernel.factors, probs))
+
     def resync(self) -> None:
         self._state, self.value = self._kernel.crowd_terms(self._factors[i] for i in self.members)
 
@@ -693,10 +694,10 @@ class _LoopParts:
 
 
 def _normal_loop() -> _LoopParts:
-    """_NormalScore: a running mean m and variance v, scored as _value does.
+    """_NormalScore: a running mean m and variance v, scored as crowd() scores them.
 
-    _value is inlined operation for operation, so every candidate is the
-    same float; sqrt(v) > 0 for every v > 0, so v > 0 decides stddev == 0.
+    pbd.normal_window_prob is inlined operation for operation, so every
+    candidate is the same float; v > 0 decides stddev == 0 (sqrt(v) > 0).
     """
     def swap(j):
         if j == 0:
@@ -892,7 +893,6 @@ def sa_select(
         params = SaParams()
     if objective not in _SWAP_SCORES:
         raise ValueError(f"unknown objective {objective!r}; use 'normal' or 'dftcf'")
-    make_score = _SWAP_SCORES[objective]
     n, k = len(pool), window.k
     # plain floats: the annealing loop evaluates the objective tens of
     # thousands of times, and numpy scalar arithmetic is an order of
@@ -900,16 +900,12 @@ def sa_select(
     probs = [float(p) for p in pool.probs]
 
     method = f"{objective}-sa"
-    if n == k:  # the pool is the only pick: score it without annealing tables
-        if objective == "dftcf":
-            kernel = WindowKernel(window)
-            _, value = kernel.crowd_terms(map(kernel.factors, probs))
-        else:
-            value = make_score(probs, window, range(n)).value
+    if n == k:  # the pool is the only pick: score it without annealing state
+        _, value = _SWAP_SCORES[objective].crowd(probs, window)
         return _result(pool, window, range(n), value, method, started)
 
     rng = random.Random(params.seed)
-    score = make_score(probs, window, sorted(rng.sample(range(n), k)))
+    score = _SWAP_SCORES[objective](probs, window, sorted(rng.sample(range(n), k)))
     draws = np.random.default_rng(rng.getrandbits(64))
     swap_cap = score.swap_cap
     block = max(1, min(params.r, _DRAW_BLOCK // swap_cap))

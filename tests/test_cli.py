@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import shlex
 import tempfile
 import time
 from pathlib import Path
@@ -500,6 +501,32 @@ class TestBenchCommand:
         )
         assert code == 2
         assert err.strip()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """Each README command followed by a `# {...}` line: the command, and the JSON it prints."""
+    lines = README.read_text().splitlines()
+    return [
+        (line, comment.removeprefix("# "))
+        for line, comment in zip(lines, lines[1:])
+        if line.startswith("crowdselect ") and comment.startswith("# {")
+    ]
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        assert len(readme_examples()) >= 2
+
+    @pytest.mark.parametrize(
+        "command,expected",
+        readme_examples(),
+        ids=[" ".join(command.split()[1:3]) for command, _ in readme_examples()],
+    )
+    def test_prints_its_comment(self, capsys, command, expected):
+        assert run(capsys, *shlex.split(command)[1:]) == (0, expected + "\n", "")
 
 
 class TestExitCodes:

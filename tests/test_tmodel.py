@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crowdselect import pbd, smodel, tmodel
+from crowdselect import pbd, smodel, solvers, tmodel
 from crowdselect.errors import EnumerationLimitError, TimeBudgetError
 from crowdselect.pbd import DemandWindow
 from crowdselect.tmodel import CandidatePool, SaParams
@@ -572,6 +572,31 @@ class TestWorkMemory:
         assert traced_peak_mb(refuse) <= 0.1
 
 
+def test_one_dftcf_gate_for_every_path(monkeypatch):
+    # a crowd of 9 past a limit of 8: the PMF, the window kernel and every
+    # T-model method refuse it with one message, before any work
+    monkeypatch.setattr(pbd, "DFTCF_LIMIT", 8)
+    probs = np.random.default_rng(9).uniform(0, 1, 9)
+    pool, window = CandidatePool.from_probs(probs), DemandWindow(3, 3, 9)
+    calls = {
+        "pmf_dftcf": lambda: pbd.pmf_dftcf(probs),
+        "WindowKernel": lambda: pbd.WindowKernel(window),
+        **{
+            method: lambda run=run: run(pool, window, 0, {}, None)
+            for method, run in solvers.SOLVERS["tmodel"].items()
+        },
+    }
+    messages = set()
+    for name, call in calls.items():
+        def refuse():
+            with pytest.raises(EnumerationLimitError) as refused:
+                call()
+            messages.add(str(refused.value))
+
+        assert traced_peak_mb(refuse) <= 0.1, name
+    assert messages == {"DFT-CF crowds are limited to 8 workers, got 9"}
+
+
 class TestSelectPoisson:
     @pytest.mark.parametrize("solver", [tmodel.select_poisson, tmodel.select_binomial])
     @pytest.mark.parametrize(
@@ -698,6 +723,20 @@ class TestSaSelect:
         assert result.indices == tuple(range(800))
         exact = tmodel.exact_select(pool, window)
         assert float.hex(result.objective) == float.hex(exact.objective)
+
+    def test_normal_pool_equals_k_builds_no_annealing_state(self, monkeypatch):
+        # the pool is the only pick, scored as a _NormalScore of it resyncs
+        class Refused(tmodel._NormalScore):
+            def __init__(self, *args):
+                raise AssertionError("built a swap score")
+
+        probs = np.random.default_rng(12).uniform(0, 1, 12)
+        pool, window = CandidatePool.from_probs(probs), DemandWindow(4, 4, 12)
+        expected = tmodel._NormalScore(probs.tolist(), window, range(12)).value
+        monkeypatch.setitem(tmodel._SWAP_SCORES, "normal", Refused)
+        result = tmodel.sa_select(pool, window, "normal")
+        assert result.indices == tuple(range(12))
+        assert float.hex(result.objective) == float.hex(expected)
 
     def test_finds_optimum_in_tiny_space(self):
         pool = pool_of(0.1, 0.5, 0.9)
@@ -986,7 +1025,8 @@ class PerStepScore:
                 mean += score._probs[i] - score._probs[o]
                 var += score._var_terms[i] - score._var_terms[o]
             state = mean, var
-            value = score._value(state)
+            # a running variance can end a rounding step below an exact 0
+            value = pbd.normal_window_prob(mean, math.sqrt(max(var, 0.0)), score._window)
         else:
             if score._pairs is not None:
                 state = score._state
