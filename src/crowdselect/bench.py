@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -56,8 +56,7 @@ class DistSpec:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         for name in ("mean", "stddev"):
             value = getattr(self, name)
-            is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if value is not None and not (is_number and math.isfinite(value)):
+            if value is not None and not _is_finite_number(value):
                 raise ValueError(f"distribution {name} must be a finite number, got {value!r}")
         if self.kind == "normal" and (self.stddev is not None and self.stddev <= 0):
             raise ValueError("normal stddev must be positive")
@@ -128,21 +127,25 @@ def gen_opinions(n: int, dist: DistSpec, seed: int) -> tmodel.CandidatePool:
 
 
 def resolve_demand(spec, k: int) -> int:
-    """Resolve a demand threshold: an integer, or a fraction of k like '2k/5' (floored)."""
-    if isinstance(spec, int):
-        value = spec
-    else:
-        text = str(spec).strip()
-        match = _FRACTION_RE.match(text)
-        if match:
-            numerator = int(match.group(1)) if match.group(1) else 1
-            denominator = int(match.group(2))
-            if denominator == 0:
-                raise ValueError(f"demand {spec!r} divides by zero")
-            value = (numerator * k) // denominator
-        else:
-            value = int(text)
-    return max(0, value)
+    """Resolve a demand threshold: an integral number, or a string such as '2' or '2k/5' (floored).
+
+    A negative threshold resolves to 0.
+    """
+    if not isinstance(spec, str):
+        return max(0, _json_int(spec))
+    match = _FRACTION_RE.match(spec.strip())
+    if not match:
+        return max(0, int(spec))
+    denominator = int(match.group(2))
+    if denominator == 0:
+        raise ValueError(f"demand {spec!r} divides by zero")
+    return int(match.group(1) or 1) * k // denominator
+
+
+def _is_finite_number(value) -> bool:
+    """An int or float, not a bool, inside the float range, which NaN is not."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return is_number and abs(value) <= sys.float_info.max
 
 
 def _json_int(value) -> int:
@@ -195,9 +198,15 @@ class ExperimentConfig:
             raise ValueError(f"method 'greedy' needs k >= {smodel.GREEDY_MIN_K}, got {list(self.ks)}")
         if self.model == "tmodel" and self.methods and not self.demands:
             raise ValueError("tmodel experiments need a demand grid")
-        for pair in self.demands:
-            for spec in pair:
-                resolve_demand(spec, 1)
+        try:
+            for pair in self.demands:
+                for spec in pair:
+                    resolve_demand(spec, 1)
+        except ValueError as err:
+            raise ValueError(f"config field 'demands': {err}") from None
+        budget = self.exact_budget_s
+        if not (_is_finite_number(budget) and budget >= 0):
+            raise ValueError(f"config field 'exact_budget_s' must be finite and >= 0, got {budget!r}")
         # rejects a bad value, an unknown field, a seed, or an integer past the float range
         try:
             tmodel.SaParams(seed=0, **self.sa_params)
@@ -227,7 +236,7 @@ class ExperimentConfig:
             demands=get("demands", lambda v: tuple((t1, t0) for t1, t0 in _json_list(v)), []),
             methods=get("methods", lambda v: tuple(str(m) for m in _json_list(v)), []),
             seed=get("seed", _json_int, 0),
-            exact_budget_s=get("exact_budget_s", float, DEFAULT_EXACT_BUDGET_S),
+            exact_budget_s=raw.get("exact_budget_s", DEFAULT_EXACT_BUDGET_S),
             sa_params=get("sa", dict, {}),
         )
 

@@ -266,8 +266,8 @@ def profile_group():
 @profile_group.command("fit")
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("-K", "--topics", "n_topics", required=True, type=int)
-@click.option("--tol", type=float, default=1e-7, show_default=True)
-@click.option("--max-iter", type=int, default=200, show_default=True)
+@click.option("--tol", type=float, default=profiles.EM_TOL, show_default=True)
+@click.option("--max-iter", type=int, default=profiles.EM_ITER, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default=None, help="Write the fitted model JSON here.")
 def profile_fit(corpus_path, n_topics, tol, max_iter, seed, out):

@@ -24,6 +24,9 @@ MAX_TOPICS = 1024
 # took 172-2,098 iterations to reach tol = 1e-7; the cap is about 5 times
 # that, so a zero tol still ends.
 EM_MAX_ITER = 10_000
+# em_fit's tol and max_iter defaults, which `profile fit` shows.
+EM_TOL = 1e-7
+EM_ITER = 200
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -60,7 +63,8 @@ class TopicModel:
     """Multinomial mixture over a fixed vocabulary.
 
     pi holds the topic priors, mu the per-topic word distributions (rows sum
-    to one), and log_likelihood_trace the objective after each EM iteration.
+    to one), and log_likelihood_trace one log-likelihood per parameter set EM
+    visited, from the initial set to the final one.
     """
 
     pi: np.ndarray
@@ -143,11 +147,18 @@ def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
+def _e_step(counts: np.ndarray, pi: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Topic posteriors and log evidence per count row: the one place the log-joint is formed."""
+    log_joint = counts @ np.log(mu).T + np.log(pi)  # (rows, topics)
+    log_evidence = _logsumexp(log_joint, axis=1, keepdims=True)
+    return np.exp(log_joint - log_evidence), log_evidence[:, 0]
+
+
 def em_fit(
     experiences: Sequence[Experience],
     n_topics: int,
-    tol: float = 1e-7,
-    max_iter: int = 200,
+    tol: float = EM_TOL,
+    max_iter: int = EM_ITER,
     seed: int = 0,
 ) -> TopicModel:
     """Fit the multinomial mixture by expectation-maximization.
@@ -155,7 +166,8 @@ def em_fit(
     E-step computes per-collection topic posteriors in log space; M-step
     re-estimates priors as posterior averages and word distributions as
     posterior-weighted relative frequencies, smoothed so no word probability
-    can collapse to zero. Stops when the log-likelihood gain drops below tol.
+    can collapse to zero. Stops one M-step after the log-likelihood gain
+    drops below tol, or after max_iter M-steps.
     Deterministic for a fixed seed: priors start uniform, word rows start at
     seeded Dirichlet draws. tol must be finite and non-negative, and
     max_iter lie in [1, EM_MAX_ITER].
@@ -178,43 +190,25 @@ def em_fit(
     pi = np.full(n_topics, 1.0 / n_topics)
     mu = _smooth_rows(rng.dirichlet(np.ones(len(vocab)), size=n_topics))
 
-    trace: list[float] = []
-    previous = -math.inf
+    posteriors, log_evidence = _e_step(counts, pi, mu)
+    trace = [float(log_evidence.sum())]
     for _ in range(max_iter):
-        log_joint = counts @ np.log(mu).T + np.log(pi)  # (collections, topics)
-        log_evidence = _logsumexp(log_joint, axis=1)
-        posteriors = np.exp(log_joint - log_evidence[:, None])
-
         pi = posteriors.mean(axis=0)
         pi = (pi + SMOOTHING) / (pi + SMOOTHING).sum()
         mu = _smooth_rows(posteriors.T @ counts)
-
-        log_likelihood = float(log_evidence.sum())
-        trace.append(log_likelihood)
-        if abs(log_likelihood - previous) < tol:
+        posteriors, log_evidence = _e_step(counts, pi, mu)
+        trace.append(float(log_evidence.sum()))
+        # the gain into the parameters this M-step started from
+        if len(trace) > 2 and abs(trace[-2] - trace[-3]) < tol:
             break
-        previous = log_likelihood
-
-    # objective at the final parameters, so the trace covers the last M-step
-    final = float(
-        _logsumexp(counts @ np.log(mu).T + np.log(pi), axis=1).sum()
-    )
-    trace.append(final)
     return TopicModel(pi=pi, mu=mu, vocab=vocab, log_likelihood_trace=tuple(trace))
-
-
-def _posteriors(counts: np.ndarray, model: TopicModel) -> np.ndarray:
-    """Posterior topic distribution of each row of a (workers, vocabulary) count matrix."""
-    # a zero probability makes NaN rows (0 * log 0, then -inf - -inf), which
-    # callers reject
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_joint = counts @ np.log(model.mu).T + np.log(model.pi)
-        return np.exp(log_joint - _logsumexp(log_joint, axis=1, keepdims=True))
 
 
 def topic_posterior(experience: Experience, model: TopicModel) -> np.ndarray:
     """Posterior topic distribution of one worker's experience; unknown words dropped."""
-    return _posteriors(_counts_matrix([experience], model.vocab), model)[0]
+    # a model file's zero probability makes a NaN row, returned as it is
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _e_step(_counts_matrix([experience], model.vocab), model.pi, model.mu)[0][0]
 
 
 def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
@@ -250,7 +244,9 @@ def experience_similarity_matrix(
     """
     if len(experiences) < 2:
         raise ValueError("need at least two workers")
-    post = _posteriors(_counts_matrix(experiences, model.vocab), model)
+    # a model file's zero probability makes NaN rows (0 * log 0, then -inf - -inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        post = _e_step(_counts_matrix(experiences, model.vocab), model.pi, model.mu)[0]
     # kl_divergence's checks, written so that NaN rows fail them too
     if not (np.all(post >= 0.0) and np.all(np.abs(post.sum(axis=1) - 1.0) <= 1e-6)):
         raise ValueError("topic posteriors must be distributions summing to 1 within 1e-6")

@@ -488,26 +488,19 @@ def _two_sided_knapsack(
     knapsack = _Knapsack(pool.probs)
     below = knapsack.best(k, capacity)
     complement = knapsack.best(n - k, float(pool.probs.sum()) - capacity)
-    above = (
-        None
-        if complement is None
-        else tuple(sorted(set(range(n)) - set(complement)))
-    )
+    above = None if complement is None else tuple(sorted(set(range(n)) - set(complement)))
     if below is None and above is None:
         # the k lightest overflow the capacity and the k heaviest fall short of
         # it only when each k-subset weighs the capacity to within rounding
         below, mass = knapsack.lightest(k)
         if not abs(mass - capacity) <= _MASS_ROUNDING:
             raise RuntimeError("a feasible k-subset always exists on at least one side of the peak")
-    if below is not None and above is not None:
-        score_below = score_of_mass(float(pool.probs[list(below)].sum()))
-        score_above = score_of_mass(float(pool.probs[list(above)].sum()))
-        chosen, objective = (
-            (below, score_below) if score_below > score_above else (above, score_above)
-        )
-    else:
-        chosen = above if below is None else below
-        objective = score_of_mass(float(pool.probs[list(chosen)].sum()))
+    # each side scored once, below first; a tie goes to the side above
+    objective, _, chosen = max(
+        (score_of_mass(float(pool.probs[list(side)].sum())), position, side)
+        for position, side in enumerate((below, above))
+        if side is not None
+    )
     return _result(pool, window, chosen, objective, method, started)
 
 

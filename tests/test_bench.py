@@ -118,6 +118,19 @@ class TestConfigIntegers:
         with pytest.raises(ValueError, match=f"config field '{key}': expected an integer"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("value", [6.7, 1.9, True, float("inf"), "2.0"])
+    def test_non_integer_demands_rejected(self, value):
+        raw = dict(self.BASE, model="tmodel", demands=[[1, value]])
+        with pytest.raises(ValueError, match="config field 'demands': "):
+            ExperimentConfig.from_dict(raw)
+
+    def test_integral_and_string_demands_accepted(self):
+        raw = dict(self.BASE, model="tmodel", demands=[[2.0, "2"], [1, "2k/5"]])
+        config = ExperimentConfig.from_dict(raw)
+        resolved = [bench.resolve_demand(spec, 5) for pair in config.demands for spec in pair]
+        assert resolved == [2, 2, 1, 2]
+        assert all(type(v) is int for v in resolved)
+
     def test_integral_floats_accepted(self):
         config = ExperimentConfig.from_dict(dict(self.BASE, n=6.0, trials=2.0, k=[2.0], seed=1.0))
         assert (config.n, config.trials, config.ks, config.seed) == (6, 2, (2,), 1)

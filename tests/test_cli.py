@@ -1,5 +1,6 @@
 import copy
 import csv
+import inspect
 import json
 import shlex
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crowdselect import cli
+from crowdselect import cli, profiles
 
 
 def run(capsys, *args):
@@ -348,6 +349,24 @@ class TestProfileCommands:
         assert len(model["pi"]) == 2
         assert all(len(row) == len(model["vocab"]) for row in model["mu"])
 
+    def test_fit_defaults_are_em_fits(self, capsys, corpus_file, tmp_path):
+        model_path = tmp_path / "model.json"
+        code, _, _ = run(
+            capsys, "profile", "fit", "--corpus", str(corpus_file), "-K", "2",
+            "--seed", "1", "--out", str(model_path),
+        )
+        assert code == 0
+        _, experiences = profiles.build_experiences(cli.load_corpus_jsonl(corpus_file))
+        model = profiles.em_fit(experiences, 2, seed=1)
+        assert json.loads(model_path.read_text()) == {
+            "pi": model.pi.tolist(), "mu": model.mu.tolist(), "vocab": list(model.vocab),
+        }
+        defaults = {p.name: p.default for p in cli.profile_fit.params}
+        signature = inspect.signature(profiles.em_fit).parameters
+        assert (defaults["tol"], defaults["max_iter"]) == (
+            signature["tol"].default, signature["max_iter"].default,
+        )
+
     def test_similarity_round_trips_into_smodel(self, capsys, corpus_file, tmp_path):
         model_path = tmp_path / "model.json"
         run(capsys, "profile", "fit", "--corpus", str(corpus_file), "-K", "2",
@@ -474,6 +493,9 @@ class TestBenchCommand:
               "methods": ["random", "dftcf-sa"], "sa": {"t_ini": float("inf")}}, "sa: "),
             ({"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
               "methods": ["random", "dftcf-sa"], "sa": {"r": 10**11}}, "sa: "),
+            *(({"model": "smodel", "n": 6, "trials": 1, "k": [2], "methods": ["exact"],
+                "exact_budget_s": budget}, "'exact_budget_s'")
+              for budget in (float("nan"), float("inf"), -1, True, "7")),
         ],
         ids=["missing-n", "scalar-k", "distribution-no-kind", "distribution-number",
              "top-level-list", "demand-zero-denominator", "methods-string", "zero-k",
@@ -481,7 +503,8 @@ class TestBenchCommand:
              "distribution-mean-string", "distribution-mean-list", "distribution-mean-nan",
              "n-1e9", "smodel-n-5000", "trials-1e9", "smodel-n-1", "tmodel-n-0",
              "n-fraction", "trials-fraction", "k-fraction", "sa-infinite-t-ini",
-             "sa-schedule-past-cap"],
+             "sa-schedule-past-cap", "budget-nan", "budget-infinite", "budget-negative",
+             "budget-true", "budget-string"],
     )
     def test_config_error_exit_2_before_any_cell(self, capsys, tmp_path, config, field):
         config_path = tmp_path / "config.json"

@@ -102,6 +102,18 @@ class TestEmFit:
         # one entry per iteration, and one for the final parameters
         assert len(model.log_likelihood_trace) == 26
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("tol, max_iter", [(profiles.EM_TOL, profiles.EM_ITER), (0.0, 7), (0.0, 1)])
+    def test_trace_ends_at_the_returned_parameters(self, seed, tol, max_iter):
+        docs = random_corpus(np.random.default_rng(100 + seed), n_docs=12)
+        model = profiles.em_fit(docs, n_topics=3, tol=tol, max_iter=max_iter, seed=seed)
+        counts = np.array([[doc.counts.get(w, 0) for w in model.vocab] for doc in docs])
+        log_joint = counts @ np.log(model.mu).T + np.log(model.pi)
+        expected = special.logsumexp(log_joint, axis=1).sum()
+        assert model.log_likelihood_trace[-1] == pytest.approx(expected, rel=1e-9)
+        if tol == 0.0:
+            assert len(model.log_likelihood_trace) == max_iter + 1
+
 
 class TestTopicPosterior:
     def test_single_topic(self):
