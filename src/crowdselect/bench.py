@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pbd, smodel, solvers, tmodel
-from .errors import EnumerationLimitError, TimeBudgetError
+from . import pbd, solvers, tmodel
+from .errors import EnumerationLimitError, TimeBudgetError, is_int
 from .pbd import DemandWindow
 
 # Wall-clock cap per exact cell; cells beyond it are reported as timed out.
@@ -33,8 +33,6 @@ _FRACTION_RE = re.compile(r"^(\d*)k/(\d+)$")
 # 128 MB of float64.
 MAX_N = pbd.DFTCF_LIMIT
 MAX_TRIALS = 10_000
-# Fewest workers each model's generator accepts.
-_MIN_N = {"smodel": 2, "tmodel": 1}
 
 
 def derive_seed(*parts) -> int:
@@ -104,8 +102,8 @@ class DistSpec:
 
 def gen_similarity_matrix(n: int, dist: DistSpec, seed: int) -> np.ndarray:
     """Seeded symmetric similarity matrix with entries in [-1, 0] and zero diagonal."""
-    if n < 2:
-        raise ValueError("need at least two workers")
+    if n < 1:
+        raise ValueError("need at least one worker")
     rng = np.random.default_rng(seed)
     draws = dist.sample(
         rng, size=(n, n), low=-1.0, high=0.0, default_mean=-0.5, default_stddev=0.15
@@ -150,8 +148,7 @@ def _is_finite_number(value) -> bool:
 
 def _json_int(value) -> int:
     """An integral JSON number; a bool, a fraction or a non-number is an error."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
+    if not (is_int(value) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -180,11 +177,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in solvers.SOLVERS:
             raise ValueError("model must be 'smodel' or 'tmodel'")
-        least = _MIN_N[self.model]
-        if not least <= self.n <= MAX_N:
-            raise ValueError(
-                f"config field 'n' must lie in [{least}, {MAX_N}] for {self.model}, got {self.n}"
-            )
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"config field 'n' must lie in [1, {MAX_N}], got {self.n}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(
                 f"config field 'trials' must lie in [1, {MAX_TRIALS}], got {self.trials}"
@@ -194,8 +188,6 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in solvers.SOLVERS[self.model]]
         if unknown:
             raise ValueError(f"unknown methods for {self.model}: {unknown}")
-        if "greedy" in self.methods and any(k < smodel.GREEDY_MIN_K for k in self.ks):
-            raise ValueError(f"method 'greedy' needs k >= {smodel.GREEDY_MIN_K}, got {list(self.ks)}")
         if self.model == "tmodel" and self.methods and not self.demands:
             raise ValueError("tmodel experiments need a demand grid")
         try:

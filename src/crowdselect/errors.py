@@ -1,5 +1,6 @@
-"""Shared exception types for the selection engines."""
+"""Shared exception types and input checks for the selection engines."""
 
+import numbers
 import time
 
 
@@ -31,3 +32,8 @@ def check_time_budget(started: float, budget_s: float | None) -> None:
     elapsed = time.perf_counter() - started
     if budget_s is not None and elapsed > budget_s:
         raise TimeBudgetError(budget_s, elapsed)
+
+
+def is_int(value) -> bool:
+    """An int or numpy integer, but not a bool: the rule for every count the engines take."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateWindowError, EnumerationLimitError
+from .errors import DegenerateWindowError, EnumerationLimitError, is_int
 
 # Guard for pmf_bruteforce: enumerating 2**25 subsets is the practical ceiling.
 BRUTEFORCE_LIMIT = 25
@@ -55,7 +55,8 @@ class DemandWindow:
     """Demand on a crowd of size k: at least theta1 positive and theta0 negative opinions.
 
     The positive-opinion count must land in [theta1, theta2] with
-    theta2 = k - theta0. Feasibility requires theta1 + theta0 <= k.
+    theta2 = k - theta0. Feasibility requires theta1 + theta0 <= k. All three
+    are integers (numpy integers too, bools not).
     """
 
     theta1: int
@@ -63,6 +64,8 @@ class DemandWindow:
     k: int
 
     def __post_init__(self):
+        if not all(map(is_int, (self.theta1, self.theta0, self.k))):
+            raise ValueError(f"demand window needs integers, got {self!r}")
         if self.k < 1:
             raise ValueError("crowd size k must be positive")
         if self.theta1 < 0 or self.theta0 < 0:
@@ -231,11 +234,9 @@ def poisson_window_prob(rate: float, window: DemandWindow) -> float:
     Poisson mass strictly above theta1 (the exact window includes theta1; the
     approximation, taken as written, does not).
     """
-    if rate < 0.0:
-        raise ValueError("Poisson rate must be non-negative")
-    if rate == 0.0:
-        return 0.0
-    return sum(poisson_pmf(i, rate) for i in range(window.theta1 + 1, window.theta2 + 1))
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"Poisson rate must be finite and non-negative, got {rate!r}")
+    return sum((poisson_pmf(i, rate) for i in range(window.theta1 + 1, window.theta2 + 1)), 0.0)
 
 
 def poisson_window_peak(window: DemandWindow) -> float:
@@ -279,44 +280,41 @@ def binomial_pmf(i: int, n: int, p: float) -> float:
     )
 
 
-def binomial_window_prob(p: float, n: int, window: DemandWindow) -> float:
-    """Window probability under the Binomial(n, p) approximation.
+def binomial_window_prob(p: float, window: DemandWindow) -> float:
+    """Window probability under the Binomial(k, p) approximation, k the window's crowd size.
 
     CMF difference F(theta2) - F(theta1), summed directly over the integer
     PMF (exact for integer thresholds); excludes theta1 like the Poisson form.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("success probability must lie in [0, 1]")
-    lo = window.theta1 + 1
-    hi = min(window.theta2, n)
-    return sum(binomial_pmf(i, n, p) for i in range(lo, hi + 1))
+    counts = range(window.theta1 + 1, window.theta2 + 1)
+    return sum((binomial_pmf(i, window.k, p) for i in counts), 0.0)
 
 
-def binomial_window_peak(n: int, window: DemandWindow) -> tuple[float, float]:
-    """Success probability at which the Binomial window probability peaks.
+def binomial_window_peak(window: DemandWindow) -> tuple[float, float]:
+    """Success probability at which the Binomial(k, p) window probability peaks.
 
     Returns (p_star, capacity) where capacity = k * p_star is the total
     opinion mass a selected set should carry to sit at the peak.
     """
-    t1, t2 = window.theta1, window.theta2
+    t1, t2, k = window.theta1, window.theta2, window.k
     if t1 >= t2:
         raise DegenerateWindowError(
             f"window [{t1}, {t2}] has no width; the peak formula is undefined"
         )
-    if n < t2:
-        raise ValueError(f"Binomial size n = {n} is below the window top {t2}")
-    if n == t2:
+    if k == t2:
         p_star = 1.0
     else:
-        # log of ((n-t2) C(n,t2)) / ((n-t1) C(n,t1)); the lgamma(n+1) terms cancel
+        # log of ((k-t2) C(k,t2)) / ((k-t1) C(k,t1)); the lgamma(k+1) terms cancel
         log_ratio = (
-            math.log(n - t2)
-            - math.lgamma(t2 + 1) - math.lgamma(n - t2 + 1)
-            - math.log(n - t1)
-            + math.lgamma(t1 + 1) + math.lgamma(n - t1 + 1)
+            math.log(k - t2)
+            - math.lgamma(t2 + 1) - math.lgamma(k - t2 + 1)
+            - math.log(k - t1)
+            + math.lgamma(t1 + 1) + math.lgamma(k - t1 + 1)
         ) / (t2 - t1)
         p_star = 1.0 / (1.0 + math.exp(log_ratio))
-    return p_star, window.k * p_star
+    return p_star, k * p_star
 
 
 def normal_window_prob(mean: float, stddev: float, window: DemandWindow) -> float:
@@ -327,6 +325,8 @@ def normal_window_prob(mean: float, stddev: float, window: DemandWindow) -> floa
     unit on each side. A zero-variance set degenerates to a point mass at the
     mean, so the result is the indicator of the corrected window.
     """
+    if not stddev >= 0.0:
+        raise ValueError(f"Normal stddev must be non-negative, got {stddev!r}")
     hi = window.theta2 + 0.5
     lo = window.theta1 - 0.5
     if stddev == 0.0:

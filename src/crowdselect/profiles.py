@@ -242,8 +242,6 @@ def experience_similarity_matrix(
     KL(p_i || p_j) = sum_t p_i log p_i - (p @ log(p).T)[i, j], the same value
     kl_divergence gives for the pair.
     """
-    if len(experiences) < 2:
-        raise ValueError("need at least two workers")
     # a model file's zero probability makes NaN rows (0 * log 0, then -inf - -inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         post = _e_step(_counts_matrix(experiences, model.vocab), model.pi, model.mu)[0]

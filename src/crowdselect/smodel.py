@@ -15,15 +15,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EnumerationLimitError, check_time_budget
+from .errors import EnumerationLimitError, check_time_budget, is_int
 
 # Exact selection refuses to search more subsets than this (check_enumeration_limit).
 ENUMERATION_LIMIT = 10_000_000
 
 # finite entries near the float limit can still overflow a crowd's pair sum
 _OVERFLOW_MESSAGE = "similarity entries too large: every crowd's diversity overflows"
-# greedy_select starts from a pair of workers, so it needs crowds of two or more
-GREEDY_MIN_K = 2
 # entries per (rows x n) work array of the exact search; 2^16 was the fastest
 # of 2^12 to 2^17 on 22-25 worker matrices
 _WORK_ENTRIES = 1 << 16
@@ -61,6 +59,15 @@ def check_similarity_matrix(sim) -> np.ndarray:
     if not np.abs(gap, out=gap).max() <= _SYMMETRY_TOL:
         raise ValueError(f"similarity matrix is not symmetric within {_SYMMETRY_TOL}")
     return arr
+
+
+def _check_selection(sim, k) -> np.ndarray:
+    """The validated matrix of a size-k selection; k must be an integer in [1, n], not a bool."""
+    matrix = check_similarity_matrix(sim)
+    n = matrix.shape[0]
+    if not (is_int(k) and 1 <= k <= n):
+        raise ValueError(f"k must lie in [1, {n}] as an integer, got {k!r}")
+    return matrix
 
 
 def _as_crowd(members: Iterable[int], n: int) -> tuple[int, ...]:
@@ -220,13 +227,9 @@ def exact_select(sim, k: int, time_budget_s: float | None = None) -> tuple[int, 
     that only equals the best never prunes. A pair sum that overflows to NaN
     never prunes and never wins.
     """
-    matrix = check_similarity_matrix(sim)
-    n = matrix.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    check_enumeration_limit(n, k)
-    if k == 1:
-        # every single worker has pair sum 0
+    matrix = _check_selection(sim, k)
+    check_enumeration_limit(matrix.shape[0], k)
+    if k == 1:  # every single worker has pair sum 0
         return (0,)
     started = time.perf_counter()
     # entries near the float limit overflow to +-inf, and to NaN where both meet
@@ -334,7 +337,7 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
     single least-similar-pair seed is noticeably weaker (about 5% below the
     exact optimum on random instances); restarting over all pairs closes
     that gap at O(k n) vectorized work per seed. For k = 2 this degenerates
-    to the globally least-similar pair.
+    to the globally least-similar pair; k = 1 returns (0,), as exact_select does.
 
     Seeds that cannot win are not finished. Before its first step a seed
     (a, b) can finish no lower than sim[a, b] + low[a] + low[b] + floor[k-2]
@@ -348,10 +351,10 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
     as before, so the crowd is the one the full all-pairs run returns.
     Where a pair sum could overflow, nothing is dropped.
     """
-    matrix = check_similarity_matrix(sim)
+    matrix = _check_selection(sim, k)
+    if k == 1:  # every single worker has pair sum 0, as in exact_select
+        return (0,)
     n = matrix.shape[0]
-    if not GREEDY_MIN_K <= k <= n:
-        raise ValueError(f"k must lie in [{GREEDY_MIN_K}, {n}], got {k}")
     # first[a]: position of the seed pair (a, a + 1) in triu_indices order
     first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     seeds = int(first[-1])
@@ -399,8 +402,6 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
 
 def random_select(sim, k: int, seed: int) -> tuple[int, ...]:
     """Uniform random size-k crowd; the baseline. The draw is fixed by the seed."""
-    n = check_similarity_matrix(sim).shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    n = _check_selection(sim, k).shape[0]
     rng = np.random.default_rng(seed)
     return tuple(sorted(int(i) for i in rng.choice(n, size=k, replace=False)))

@@ -25,7 +25,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import pbd
-from .errors import EnumerationLimitError, check_time_budget
+from .errors import EnumerationLimitError, check_time_budget, is_int
 from .pbd import DemandWindow, WindowKernel
 from .smodel import check_enumeration_limit
 
@@ -85,7 +85,7 @@ class SaParams:
                 f"need finite t_ini > t_end >= {sys.float_info.min!r}, "
                 f"got {self.t_ini!r} and {self.t_end!r}"
             )
-        if not isinstance(self.r, (int, np.integer)) or self.r < 0:
+        if not is_int(self.r) or self.r < 0:
             raise ValueError(f"sweep count r must be a non-negative integer, got {self.r!r}")
         if not 0.0 < self.c < 1.0:
             raise ValueError("cooling ratio c must lie in (0, 1)")
@@ -463,8 +463,8 @@ def exact_knapsack(
     n = len(pool)
     if k < 0 or k > n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
-    if k == 0:
-        return () if capacity >= 0.0 else None
+    if math.isnan(capacity):
+        raise ValueError("knapsack capacity must not be NaN")
     return _Knapsack(pool.probs).best(k, capacity)
 
 
@@ -529,8 +529,8 @@ def select_binomial(pool: CandidatePool, window: DemandWindow) -> SelectionResul
     """
     k = window.k
     if window.width > 0:
-        _, capacity = pbd.binomial_window_peak(k, window)
-        score = lambda mass: pbd.binomial_window_prob(mass / k, k, window)
+        _, capacity = pbd.binomial_window_peak(window)
+        score = lambda mass: pbd.binomial_window_prob(mass / k, window)
     else:
         capacity = float(window.theta1)
         score = lambda mass: pbd.binomial_pmf(window.theta1, k, mass / k)

@@ -86,10 +86,9 @@ def test_c03_window_score_unimodality():
         values = np.array([pbd.poisson_window_prob(x, window) for x in grid])
         if not _unimodal_with_peak(grid, values, peak):
             failures.append(("poisson", window))
-        n = window.k
-        p_star, _ = pbd.binomial_window_peak(n, window)
+        p_star, _ = pbd.binomial_window_peak(window)
         p_grid = np.linspace(0.0, 1.0, 1002)[1:-1]
-        p_values = np.array([pbd.binomial_window_prob(p, n, window) for p in p_grid])
+        p_values = np.array([pbd.binomial_window_prob(p, window) for p in p_grid])
         if not _unimodal_with_peak(p_grid, p_values, p_star):
             failures.append(("binomial", window))
     elapsed = time.perf_counter() - started

@@ -67,7 +67,10 @@ class TestGenerators:
 
     def test_matrix_too_small(self):
         with pytest.raises(ValueError):
-            bench.gen_similarity_matrix(1, DistSpec("uniform"), seed=0)
+            bench.gen_similarity_matrix(0, DistSpec("uniform"), seed=0)
+
+    def test_one_worker_matrix(self):
+        assert np.array_equal(bench.gen_similarity_matrix(1, DistSpec("uniform"), seed=0), [[0.0]])
 
     def test_opinions_deterministic(self):
         a = bench.gen_opinions(50, DistSpec("uniform"), seed=9)
@@ -184,6 +187,17 @@ class TestRunExperiment:
             summary["methods"]["dftcf-sa"]["mean_score"]
             >= summary["methods"]["random"]["mean_score"]
         )
+
+    def test_one_worker_smodel_runs_every_method(self):
+        cfg = ExperimentConfig.from_dict(
+            {"model": "smodel", "n": 1, "trials": 2, "k": [1],
+             "methods": ["exact", "greedy", "random"]}
+        )
+        report = bench.run_experiment(cfg)
+        assert [(r.method, r.status) for r in report.rows] == [
+            (m, "ok") for m in ("exact", "greedy", "random")
+        ] * 2
+        assert all(r.tau_or_div == 0.0 for r in report.rows)
 
     def test_empty_methods_give_empty_report(self):
         report = bench.run_experiment(smodel_config(methods=()))

@@ -467,8 +467,6 @@ class TestBenchCommand:
               "methods": ["random", "dftcf-sa"], "sa": {"seed": 3}}, "sa: "),
             ({"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
               "methods": ["random", "dftcf-sa"], "sa": {"temp": 3}}, "sa: "),
-            ({"model": "smodel", "n": 6, "trials": 2, "k": [3, 1],
-              "methods": ["exact", "greedy"]}, "'greedy' needs k >= 2"),
             ({"model": "tmodel", "n": 6, "trials": 1, "k": [2], "demands": [[1, 1]],
               "methods": ["random", "dftcf-sa"], "sa": {"r": 1.5}}, "sa: "),
             ({"model": "smodel", "n": 6, "trials": 1, "k": [2],
@@ -482,7 +480,6 @@ class TestBenchCommand:
             ({"model": "smodel", "n": 5000, "trials": 1, "k": [2], "methods": ["random"]}, "'n'"),
             ({"model": "smodel", "n": 6, "trials": 1e9, "k": [2], "methods": ["random"]},
              "'trials'"),
-            ({"model": "smodel", "n": 1, "trials": 1, "k": [1], "methods": ["random"]}, "'n'"),
             ({"model": "tmodel", "n": 0, "trials": 1, "k": [1], "demands": [[0, 0]],
               "methods": ["random"]}, "'n'"),
             ({"model": "smodel", "n": 6.7, "trials": 1, "k": [2], "methods": ["random"]}, "'n'"),
@@ -499,9 +496,9 @@ class TestBenchCommand:
         ],
         ids=["missing-n", "scalar-k", "distribution-no-kind", "distribution-number",
              "top-level-list", "demand-zero-denominator", "methods-string", "zero-k",
-             "sa-seed", "sa-unknown-field", "greedy-k-1", "sa-fractional-r",
+             "sa-seed", "sa-unknown-field", "sa-fractional-r",
              "distribution-mean-string", "distribution-mean-list", "distribution-mean-nan",
-             "n-1e9", "smodel-n-5000", "trials-1e9", "smodel-n-1", "tmodel-n-0",
+             "n-1e9", "smodel-n-5000", "trials-1e9", "tmodel-n-0",
              "n-fraction", "trials-fraction", "k-fraction", "sa-infinite-t-ini",
              "sa-schedule-past-cap", "budget-nan", "budget-infinite", "budget-negative",
              "budget-true", "budget-string"],

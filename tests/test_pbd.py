@@ -35,6 +35,17 @@ class TestDemandWindow:
         with pytest.raises(ValueError):
             DemandWindow(theta1=0, theta0=0, k=0)
 
+    @pytest.mark.parametrize(
+        "theta1,theta0,k", [(1.5, 1, 3), (1, 1, 3.0), (True, True, 3), (1, 1, np.float64(3))]
+    )
+    def test_non_integers_rejected(self, theta1, theta0, k):
+        with pytest.raises(ValueError, match="integers"):
+            DemandWindow(theta1=theta1, theta0=theta0, k=k)
+
+    def test_numpy_integers_accepted(self):
+        w = DemandWindow(theta1=np.int64(1), theta0=np.int32(1), k=np.int64(3))
+        assert w.theta2 == 2
+
 
 class TestPmfBruteforce:
     def test_two_fair_coins(self):
@@ -329,6 +340,11 @@ class TestPoissonWindow:
         with pytest.raises(ValueError):
             pbd.poisson_window_prob(-0.1, DemandWindow(1, 1, 4))
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="Poisson rate"):
+            pbd.poisson_window_prob(rate, DemandWindow(1, 1, 4))
+
     def test_matches_poisson_cmf_difference(self):
         w = DemandWindow(theta1=2, theta0=3, k=9)
         for rate in (0.5, 2.0, 4.5, 8.0):
@@ -337,7 +353,9 @@ class TestPoissonWindow:
 
     def test_degenerate_window_is_zero(self):
         # zero-width window: the CMF difference vanishes identically
-        assert pbd.poisson_window_prob(2.0, DemandWindow(2, 2, 4)) == 0.0
+        for rate in (0.0, 2.0):
+            value = pbd.poisson_window_prob(rate, DemandWindow(2, 2, 4))
+            assert type(value) is float and value == 0.0
 
 
 class TestPoissonPeak:
@@ -375,51 +393,56 @@ class TestPoissonPeak:
 
 class TestBinomialWindow:
     def test_zero_p(self):
-        assert pbd.binomial_window_prob(0.0, 4, DemandWindow(1, 1, 4)) == 0.0
+        assert pbd.binomial_window_prob(0.0, DemandWindow(1, 1, 4)) == 0.0
 
     def test_fair_coin(self):
         w = DemandWindow(theta1=1, theta0=1, k=4)
-        assert pbd.binomial_window_prob(0.5, 4, w) == pytest.approx(0.625, abs=1e-12)
+        assert pbd.binomial_window_prob(0.5, w) == pytest.approx(0.625, abs=1e-12)
 
     def test_one_p(self):
-        assert pbd.binomial_window_prob(1.0, 4, DemandWindow(1, 1, 4)) == 0.0
+        assert pbd.binomial_window_prob(1.0, DemandWindow(1, 1, 4)) == 0.0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            pbd.binomial_window_prob(1.5, 4, DemandWindow(1, 1, 4))
+            pbd.binomial_window_prob(1.5, DemandWindow(1, 1, 4))
 
     def test_matches_binom_cmf_difference(self):
-        w = DemandWindow(theta1=2, theta0=2, k=10)
-        for p in (0.1, 0.35, 0.8):
-            expected = stats.binom.cdf(w.theta2, 10, p) - stats.binom.cdf(w.theta1, 10, p)
-            assert pbd.binomial_window_prob(p, 10, w) == pytest.approx(expected, abs=1e-12)
+        # the second window's top is k itself
+        for w in (DemandWindow(theta1=2, theta0=2, k=10), DemandWindow(theta1=1, theta0=0, k=5)):
+            for p in (0.1, 0.35, 0.8):
+                expected = stats.binom.cdf(w.theta2, w.k, p) - stats.binom.cdf(w.theta1, w.k, p)
+                assert pbd.binomial_window_prob(p, w) == pytest.approx(expected, abs=1e-12)
+
+    def test_degenerate_window_is_zero(self):
+        value = pbd.binomial_window_prob(0.5, DemandWindow(2, 2, 4))
+        assert type(value) is float and value == 0.0
 
 
 class TestBinomialPeak:
     def test_example_window(self):
-        p_star, capacity = pbd.binomial_window_peak(4, DemandWindow(1, 1, 4))
+        p_star, capacity = pbd.binomial_window_peak(DemandWindow(1, 1, 4))
         assert p_star == pytest.approx(1 / (1 + math.sqrt(1 / 3)), rel=1e-12)
         assert capacity == pytest.approx(4 * p_star, rel=1e-12)
 
     def test_full_window_peaks_at_one(self):
-        p_star, capacity = pbd.binomial_window_peak(4, DemandWindow(0, 0, 4))
+        p_star, capacity = pbd.binomial_window_peak(DemandWindow(0, 0, 4))
         assert p_star == 1.0
         assert capacity == 4.0
 
     def test_small_case(self):
-        p_star, capacity = pbd.binomial_window_peak(2, DemandWindow(0, 1, 2))
+        p_star, capacity = pbd.binomial_window_peak(DemandWindow(0, 1, 2))
         assert p_star == pytest.approx(0.5, rel=1e-12)
         assert capacity == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(DegenerateWindowError):
-            pbd.binomial_window_peak(4, DemandWindow(2, 2, 4))
+            pbd.binomial_window_peak(DemandWindow(2, 2, 4))
 
     def test_unimodal_on_grid(self):
         w = DemandWindow(theta1=2, theta0=3, k=9)
-        p_star, _ = pbd.binomial_window_peak(9, w)
+        p_star, _ = pbd.binomial_window_peak(w)
         grid = np.linspace(0, 1, 502)[1:-1]
-        values = np.array([pbd.binomial_window_prob(p, 9, w) for p in grid])
+        values = np.array([pbd.binomial_window_prob(p, w) for p in grid])
         turn = int(np.argmax(values))
         assert np.all(np.diff(values[: turn + 1]) >= -1e-12)
         assert np.all(np.diff(values[turn:]) <= 1e-12)
@@ -444,6 +467,11 @@ class TestNormalWindow:
         # mean sits exactly on the corrected lower edge; the top is far away
         w = DemandWindow(theta1=2, theta0=0, k=200)
         assert pbd.normal_window_prob(1.5, 1.0, w) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("stddev", [-1.0, -0.0 - 1e-300, math.nan])
+    def test_negative_or_nan_stddev_rejected(self, stddev):
+        with pytest.raises(ValueError, match="stddev"):
+            pbd.normal_window_prob(1.0, stddev, DemandWindow(1, 1, 3))
 
 
 class TestErrorBounds:

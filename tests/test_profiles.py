@@ -334,11 +334,11 @@ class TestExperienceSimilarityMatrix:
         crowd = smodel.exact_select(sim, 2)
         assert 2 in crowd
 
-    def test_needs_two_workers(self):
-        docs = [experience("a")]
-        model = profiles.em_fit(docs, n_topics=1, seed=0)
-        with pytest.raises(ValueError):
-            profiles.experience_similarity_matrix(docs, model)
+    def test_one_worker_is_a_zero_matrix(self):
+        docs = [experience("a", "b")]
+        model = profiles.em_fit(docs, n_topics=2, seed=0)
+        sim = profiles.experience_similarity_matrix(docs, model)
+        assert sim.shape == (1, 1) and sim[0, 0] == 0.0
 
 
 class TestBuildExperiences:

@@ -306,8 +306,9 @@ class TestGreedySelect:
         assert 4 in smodel.greedy_select(sim, 3)
 
     def test_k_bounds(self):
+        assert smodel.greedy_select(SIX_WORKERS, 1) == (0,)
         with pytest.raises(ValueError):
-            smodel.greedy_select(SIX_WORKERS, 1)
+            smodel.greedy_select(SIX_WORKERS, 0)
         with pytest.raises(ValueError):
             smodel.greedy_select(SIX_WORKERS, 7)
 
@@ -471,6 +472,40 @@ class TestGreedyPruning:
         # rounding has no bound and no seed may be dropped
         sim = skewed_matrix(60, 3) * 1e299
         assert completed_seed_rows(monkeypatch, sim, 4) == self.SEEDS
+
+
+SOLVERS = {
+    "exact": smodel.exact_select,
+    "greedy": smodel.greedy_select,
+    "random": lambda sim, k: smodel.random_select(sim, k, seed=0),
+}
+
+
+class TestSelectionContract:
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_one_worker(self, method):
+        assert SOLVERS[method](np.zeros((1, 1)), 1) == (0,)
+
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_crowd_of_one(self, method):
+        crowd = SOLVERS[method](SIX_WORKERS, 1)
+        assert len(crowd) == 1 and 0 <= crowd[0] < 6
+
+    def test_greedy_equals_exact_at_k_1(self):
+        rng = np.random.default_rng(24)
+        for n in (1, 2, 5, 13):
+            sim = random_symmetric(rng, n)
+            assert smodel.greedy_select(sim, 1) == smodel.exact_select(sim, 1) == (0,)
+
+    @pytest.mark.parametrize("method", SOLVERS)
+    @pytest.mark.parametrize("k", [0, 7, 2.0, 2.5, True, np.float64(3), "2", None])
+    def test_bad_k_rejected_with_one_message(self, method, k):
+        with pytest.raises(ValueError, match=r"k must lie in \[1, 6\] as an integer"):
+            SOLVERS[method](SIX_WORKERS, k)
+
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_numpy_integer_k_accepted(self, method):
+        assert SOLVERS[method](SIX_WORKERS, np.int64(3)) == SOLVERS[method](SIX_WORKERS, 3)
 
 
 class TestRandomSelect:

@@ -221,7 +221,14 @@ class TestExactKnapsack:
     def test_zero_items(self):
         pool = pool_of(0.5)
         assert tmodel.exact_knapsack(0, 0.0, pool) == ()
+        assert tmodel.exact_knapsack(0, -0.0, pool) == ()
+        assert tmodel.exact_knapsack(0, math.inf, pool) == ()
         assert tmodel.exact_knapsack(0, -0.5, pool) is None
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_nan_capacity_rejected(self, k):
+        with pytest.raises(ValueError, match="NaN"):
+            tmodel.exact_knapsack(k, math.nan, pool_of(0.1, 0.5, 0.9, 0.3, 0.7))
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -512,7 +519,7 @@ class TestKnapsackEquivalence:
         pool = CandidatePool.from_probs(probs)
         for k in (5, 17, 29):
             window = DemandWindow(theta1=2, theta0=2, k=k)
-            for capacity in (pbd.poisson_window_peak(window), pbd.binomial_window_peak(k, window)[1]):
+            for capacity in (pbd.poisson_window_peak(window), pbd.binomial_window_peak(window)[1]):
                 knapsack = tmodel._Knapsack(pool.probs)
                 rest = float(pool.probs.sum()) - capacity
                 assert knapsack.best(k, capacity) == oracle_best(probs, k, capacity)
@@ -796,6 +803,9 @@ class TestSaSelect:
             SaParams(r=-1)
         with pytest.raises(ValueError, match="integer"):
             SaParams(r=1.5)
+        with pytest.raises(ValueError, match="integer"):
+            SaParams(r=True)
+        assert SaParams(r=np.int64(3)).r == 3
         # below the normal range 4 units x 0.9 round back to 4 units, so the
         # temperature would never reach t_end
         with pytest.raises(ValueError, match="t_end"):
