@@ -237,10 +237,11 @@ def experience_similarity_matrix(
     """Pairwise worker similarity as negated symmetrized topic KL distance.
 
     The raw KL distance is asymmetric; averaging both directions yields the
-    symmetric matrix the S-Model requires. Diagonal is zero. All pairs come
+    symmetric matrix the S-Model requires. Diagonal is +0.0. All pairs come
     from one (workers, topics) posterior matrix: with smoothed rows p,
     KL(p_i || p_j) = sum_t p_i log p_i - (p @ log(p).T)[i, j], the same value
-    kl_divergence gives for the pair.
+    kl_divergence gives for the pair, clamped at 0 as it is there, so no
+    similarity is positive.
     """
     # a model file's zero probability makes NaN rows (0 * log 0, then -inf - -inf)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -252,8 +253,11 @@ def experience_similarity_matrix(
     smooth /= smooth.sum(axis=1, keepdims=True)
     logs = np.log(smooth)
     div = (smooth * logs).sum(axis=1)[:, None] - smooth @ logs.T
-    np.fill_diagonal(div, 0.0)
-    return -(div + div.T) / 2.0
+    # clamp the rounding below zero, as kl_divergence does
+    np.maximum(div, 0.0, out=div)
+    sim = -(div + div.T) / 2.0
+    np.fill_diagonal(sim, 0.0)  # +0.0, where negating a zeroed div gives -0.0
+    return sim
 
 
 def build_experiences(

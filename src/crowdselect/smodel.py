@@ -20,15 +20,14 @@ from .errors import EnumerationLimitError, check_time_budget, is_int
 # Exact selection refuses to search more subsets than this (check_enumeration_limit).
 ENUMERATION_LIMIT = 10_000_000
 
-# finite entries near the float limit can still overflow a crowd's pair sum
-_OVERFLOW_MESSAGE = "similarity entries too large: every crowd's diversity overflows"
 # entries per (rows x n) work array of the exact search; 2^16 was the fastest
 # of 2^12 to 2^17 on 22-25 worker matrices
 _WORK_ENTRIES = 1 << 16
 # relative slack before a bound prunes: far above the rounding error of the
 # pair sums being compared, so a crowd that ties the best is never dropped
 _PRUNE_SLACK = 1e-9
-# sums of pair entries stay below this far from the float limit (about 1.8e308)
+# C(n, 2) * max |entry| must lie below this, far from the float limit (about
+# 1.8e308), so that no pair sum, mass or bound of the solvers can overflow
 _NO_OVERFLOW = 1e300
 # largest |sim[i, j] - sim[j, i]| a similarity matrix may have
 _SYMMETRY_TOL = 1e-9
@@ -44,7 +43,13 @@ def check_enumeration_limit(n: int, k: int) -> None:
 
 
 def check_similarity_matrix(sim) -> np.ndarray:
-    """Validate an n x n similarity matrix: square, finite, symmetric within _SYMMETRY_TOL."""
+    """Validate an n x n similarity matrix and return it as a float array.
+
+    The matrix must be square, non-empty and finite, C(n, 2) times its
+    largest absolute entry must lie below _NO_OVERFLOW (1e300), and it must
+    be symmetric within _SYMMETRY_TOL. Every crowd's pair sum then stays
+    below 1e300, so nothing the S-model computes from the matrix overflows.
+    """
     arr = np.asarray(sim, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("similarity matrix must be square")
@@ -52,10 +57,12 @@ def check_similarity_matrix(sim) -> np.ndarray:
         raise ValueError("similarity matrix must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("similarity matrix has non-finite entries")
-    # one n x n temporary, reused for the absolute values; a gap that
-    # overflows to inf fails the test below
-    with np.errstate(over="ignore"):
-        gap = arr - arr.T
+    if math.comb(arr.shape[0], 2) * float(np.abs(arr).max()) >= _NO_OVERFLOW:
+        raise ValueError(
+            f"similarity entries too large: C(n, 2) * max |entry| must be below {_NO_OVERFLOW:g}"
+        )
+    # one n x n temporary, reused for the absolute values
+    gap = arr - arr.T
     if not np.abs(gap, out=gap).max() <= _SYMMETRY_TOL:
         raise ValueError(f"similarity matrix is not symmetric within {_SYMMETRY_TOL}")
     return arr
@@ -79,10 +86,11 @@ def _as_crowd(members: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(idx)
 
 
-def _pair_sum(idx: tuple[int, ...], sim: np.ndarray) -> float:
-    # unordered pairs only; diagonal never enters the score
+def _negated_pair_sum(idx: tuple[int, ...], sim: np.ndarray) -> float:
+    # unordered pairs only; diagonal never enters the score. trace - sum
+    # rather than -(sum - trace), so a zero score is +0.0, not -0.0
     sub = sim[np.ix_(idx, idx)]
-    return float((sub.sum() - np.trace(sub)) / 2.0)
+    return float((np.trace(sub) - sub.sum()) / 2.0)
 
 
 def diversity(members: Iterable[int], sim) -> float:
@@ -91,7 +99,7 @@ def diversity(members: Iterable[int], sim) -> float:
     idx = _as_crowd(members, matrix.shape[0])
     if not idx:
         raise ValueError("diversity of an empty crowd is undefined")
-    return -_pair_sum(idx, matrix) / len(idx)
+    return _negated_pair_sum(idx, matrix) / len(idx)
 
 
 def sum_objective(members: Iterable[int], sim) -> float:
@@ -102,9 +110,7 @@ def sum_objective(members: Iterable[int], sim) -> float:
     """
     matrix = check_similarity_matrix(sim)
     idx = _as_crowd(members, matrix.shape[0])
-    if not idx:
-        return 0.0
-    return -_pair_sum(idx, matrix)
+    return _negated_pair_sum(idx, matrix)
 
 
 def _greedy_complete(
@@ -125,8 +131,9 @@ def _greedy_complete(
     With a floor (see _completion_floor), a seed is dropped once a lower
     bound on its finished pair sum exceeds limit: with r members still to
     add, the pair sum so far, plus r times this step's least mass, plus
-    floor[r]. A NaN bound keeps its seed. Dropping changes no surviving
-    row's arithmetic, so every pair sum is the one a full run computes.
+    floor[r]. Dropping changes no surviving row's arithmetic, so every pair
+    sum is the one a full run computes. The matrix is one that
+    check_similarity_matrix accepts, so no sum or bound here overflows.
     """
     count = s0.size
     idx = np.arange(count)
@@ -147,7 +154,7 @@ def _greedy_complete(
         margin = marginal[idx, w]
         remaining = k - step
         if floor is not None and remaining > 1:
-            keep = ~(pair_sum + remaining * margin + floor[remaining] > limit)
+            keep = pair_sum + remaining * margin + floor[remaining] <= limit
             dropped = keep.size - np.count_nonzero(keep)
             # copying the survivors costs about one pass over marginal and
             # each later step two or three, so seeds go once a quarter can
@@ -199,10 +206,9 @@ def _prune_slack(matrix: np.ndarray, k: int) -> float:
     """Absolute rounding slack for comparing the pair sums of size-k crowds.
 
     Rounding error of a pair sum grows with its number of terms and their
-    size; where a sum could overflow, rounding has no bound and nothing prunes.
+    size; check_similarity_matrix keeps that size below _NO_OVERFLOW.
     """
-    scale = math.comb(k, 2) * float(np.abs(matrix).max())
-    return _PRUNE_SLACK * (1.0 + scale) if scale < _NO_OVERFLOW else math.inf
+    return _PRUNE_SLACK * (1.0 + math.comb(k, 2) * float(np.abs(matrix).max()))
 
 
 def exact_select(sim, k: int, time_budget_s: float | None = None) -> tuple[int, ...]:
@@ -224,27 +230,15 @@ def exact_select(sim, k: int, time_budget_s: float | None = None) -> tuple[int, 
 
     Ties resolve to the lexicographically smallest member set: crowds are
     reached in that order, a later one must be strictly better, and a bound
-    that only equals the best never prunes. A pair sum that overflows to NaN
-    never prunes and never wins.
+    that only equals the best never prunes. The matrix passes
+    check_similarity_matrix, so no pair sum, mass or bound overflows.
     """
     matrix = _check_selection(sim, k)
-    check_enumeration_limit(matrix.shape[0], k)
+    n = matrix.shape[0]
+    check_enumeration_limit(n, k)
     if k == 1:  # every single worker has pair sum 0
         return (0,)
     started = time.perf_counter()
-    # entries near the float limit overflow to +-inf, and to NaN where both meet
-    with np.errstate(over="ignore", invalid="ignore"):
-        best = _prefix_search(matrix, k, started, time_budget_s)
-    if best is None:
-        raise ValueError(_OVERFLOW_MESSAGE)
-    return best
-
-
-def _prefix_search(
-    matrix: np.ndarray, k: int, started: float, time_budget_s: float | None
-) -> tuple[int, ...] | None:
-    """Depth-first branch and bound behind exact_select, for 2 <= k <= n."""
-    n = matrix.shape[0]
     cols = np.arange(n)
     chunk = max(1, _WORK_ENTRIES // n)
     # floor[r], for r up to k - 1, bounds the pair sum of any r workers
@@ -262,8 +256,6 @@ def _prefix_search(
         members, _, _ = _greedy_complete(matrix, pair_i[low : low + 1], pair_j[low : low + 1], k)
         crowd = np.sort(members[0])
         incumbent = float(np.triu(matrix[np.ix_(crowd, crowd)], 1).sum())
-        if math.isnan(incumbent):
-            incumbent = math.inf
     slack = _prune_slack(matrix, k)
     best_sum, best = math.inf, None
     # a frame holds prefixes (rows, depth), their pair sums and (rows, n)
@@ -283,7 +275,6 @@ def _prefix_search(
         if remaining == 1:
             # each child row completes to a crowd with any one later worker
             sums = np.where(later, child_sum[:, None] + child_mass, np.inf)
-            sums[np.isnan(sums)] = np.inf
             top = int(np.argmin(sums))
             row, last = divmod(top, n)
             if sums[row, last] < best_sum:
@@ -293,14 +284,16 @@ def _prefix_search(
             cheapest = np.partition(np.where(later, child_mass, np.inf), remaining - 1, axis=1)
             bound = child_sum + cheapest[:, :remaining].sum(axis=1) + floor[remaining]
             threshold = min(best_sum, incumbent)
-            # a NaN bound compares False, so it keeps its child
-            keep = ~(bound > threshold + slack + _PRUNE_SLACK * abs(threshold))
+            keep = bound <= threshold + slack + _PRUNE_SLACK * abs(threshold)
             if keep.any():
                 grow_rows, grow_next = np.nonzero(later[keep] & (cols <= n - remaining))
                 child_prefix = np.column_stack((prefix[rows[keep]], nxt[keep]))
                 stack.append((child_prefix, child_sum[keep], child_mass[keep],
                               grow_rows, grow_next, 0))
         check_time_budget(started, time_budget_s)
+    if best is None:
+        # the greedy crowd's own branch is never pruned, so some crowd completes
+        raise RuntimeError("exact search pruned every crowd")
     return best
 
 
@@ -348,8 +341,8 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
     stops at the first chunk that starts above it; later steps drop seeds
     by the same rule (see _greedy_complete). No seed that could tie the
     winner is dropped, and a surviving seed's pair sum is computed exactly
-    as before, so the crowd is the one the full all-pairs run returns.
-    Where a pair sum could overflow, nothing is dropped.
+    as before, so the crowd is the one the full all-pairs run returns. The
+    matrix passes check_similarity_matrix, so no sum or bound overflows.
     """
     matrix = _check_selection(sim, k)
     if k == 1:  # every single worker has pair sum 0, as in exact_select
@@ -364,39 +357,32 @@ def greedy_select(sim, k: int) -> tuple[int, ...]:
     # (seeds, n) work arrays of about 512 KB keep every step's passes in cache;
     # 32 MB arrays made n = 300 three to four times slower on a 2 MB-L2 core
     chunk = max(1, _WORK_ENTRIES // n)
-    # entries near the float limit overflow to +-inf, and to NaN where both
-    # meet; a NaN crowd never wins, as in exact_select, and if no crowd is
-    # comparable that is reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        low, floor = _completion_floor(matrix, k)
-        order, bound = _seeds_best_first(matrix, low + floor[k - 2] / 2.0, first)
-        # the least-bound seed alone gives the first chunk a threshold
-        edges = [0, *range(1, seeds, chunk), seeds]
-        for start, stop in zip(edges, edges[1:]):
-            limit = best_sum + slack + _PRUNE_SLACK * abs(best_sum)
-            # a NaN bound or limit compares False, so it keeps its seeds
-            if bound[start] > limit:
-                break
-            pos = order[start:stop][~(bound[start:stop] > limit)]
-            s0 = np.searchsorted(first, pos, side="right") - 1
-            members, pair_sum, done = _greedy_complete(
-                matrix, s0, pos - first[s0] + s0 + 1, k, floor, limit
-            )
-            pos = pos[done]
-            div = -pair_sum / k
-            div[np.isnan(div)] = -np.inf
-            top_div = div.max(initial=-np.inf)
-            if top_div == -np.inf:
-                continue
-            # the highest diversity wins, and of equals the seed that comes
-            # first in triu_indices order, as in a scan in that order
-            tied = np.flatnonzero(div == top_div)
-            top = tied[np.argmin(pos[tied])]
-            if top_div > best_div or (top_div == best_div and pos[top] < best_pos):
-                best_div, best_pos = float(top_div), int(pos[top])
-                best_sum, best_members = float(pair_sum[top]), members[top]
-    if best_members is None:
-        raise ValueError(_OVERFLOW_MESSAGE)
+    low, floor = _completion_floor(matrix, k)
+    order, bound = _seeds_best_first(matrix, low + floor[k - 2] / 2.0, first)
+    # the least-bound seed alone gives the first chunk a threshold; its limit
+    # is +inf, so that seed always finishes and sets best_members
+    edges = [0, *range(1, seeds, chunk), seeds]
+    for start, stop in zip(edges, edges[1:]):
+        limit = best_sum + slack + _PRUNE_SLACK * abs(best_sum)
+        if bound[start] > limit:
+            break
+        pos = order[start:stop][bound[start:stop] <= limit]
+        s0 = np.searchsorted(first, pos, side="right") - 1
+        members, pair_sum, done = _greedy_complete(
+            matrix, s0, pos - first[s0] + s0 + 1, k, floor, limit
+        )
+        if not done.size:  # every seed of the chunk was dropped
+            continue
+        pos = pos[done]
+        div = -pair_sum / k
+        top_div = div.max()
+        # the highest diversity wins, and of equals the seed that comes
+        # first in triu_indices order, as in a scan in that order
+        tied = np.flatnonzero(div == top_div)
+        top = tied[np.argmin(pos[tied])]
+        if top_div > best_div or (top_div == best_div and pos[top] < best_pos):
+            best_div, best_pos = float(top_div), int(pos[top])
+            best_sum, best_members = float(pair_sum[top]), members[top]
     return tuple(sorted(int(i) for i in best_members))
 
 

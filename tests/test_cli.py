@@ -2,6 +2,7 @@ import copy
 import csv
 import inspect
 import json
+import math
 import shlex
 import tempfile
 import time
@@ -137,6 +138,29 @@ class TestSelectS:
         assert code == 2
         assert "duplicate worker id 'b'" in err
         assert out == ""
+
+    @pytest.mark.parametrize("entry", [1e300, math.nextafter(1e300, 0.0)], ids=["at", "below"])
+    def test_matrix_at_overflow_bound(self, capsys, tmp_path, entry):
+        # two workers: C(2, 2) * max |entry| must lie below 1e300
+        path = tmp_path / "big.csv"
+        write_matrix(path, ["a", "b"], [[0.0, entry], [entry, 0.0]])
+        code, out, err = run(
+            capsys, "select", "s", "--matrix", str(path), "-k", "2", "--method", "exact"
+        )
+        if entry >= 1e300:
+            assert code == 2
+            assert "similarity entries too large: C(n, 2) * max |entry| must be below 1e+300" in err
+            assert out == ""
+        else:
+            assert code == 0
+            assert json.loads(out)["div"] == -entry / 2
+
+    def test_one_worker_prints_positive_zero(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        write_matrix(path, ["a"], [[0.0]])
+        code, out, _ = run(capsys, "select", "s", "--matrix", str(path), "-k", "1")
+        assert code == 0
+        assert '"div": 0.0' in out
 
     def test_zero_k_exit_2(self, capsys, matrix_file):
         code, _, err = run(

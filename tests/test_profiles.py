@@ -340,6 +340,23 @@ class TestExperienceSimilarityMatrix:
         sim = profiles.experience_similarity_matrix(docs, model)
         assert sim.shape == (1, 1) and sim[0, 0] == 0.0
 
+    @pytest.mark.parametrize("n_docs", [1, 4])
+    def test_diagonal_is_positive_zero(self, n_docs):
+        docs = random_corpus(np.random.default_rng(n_docs), n_docs=n_docs)
+        model = profiles.em_fit(docs, n_topics=2, seed=0)
+        sim = profiles.experience_similarity_matrix(docs, model)
+        assert all(math.copysign(1.0, x) == 1.0 and x == 0.0 for x in np.diag(sim))
+
+    def test_rounding_never_makes_a_positive_similarity(self):
+        # near-equal posteriors of w2 and w3 leave the KL sums of their pair
+        # a rounding error below zero; clamped as in kl_divergence
+        records = [("w1", "t0", "bonds and funds"), ("w2", "t1", "funds"), ("w3", "t2", "funds")]
+        docs = profiles.build_experiences(records)[1]
+        model = profiles.em_fit(docs, n_topics=2, seed=1)
+        sim = profiles.experience_similarity_matrix(docs, model)
+        assert not np.any(sim > 0.0)
+        assert np.array_equal(sim, sim.T)
+
 
 class TestBuildExperiences:
     def test_groups_by_worker_in_first_seen_order(self):

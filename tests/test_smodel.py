@@ -32,6 +32,10 @@ SIX_WORKERS = make_matrix(
 )
 
 
+# the one refusal of a matrix whose pair sums could reach the float limit
+TOO_LARGE = r"similarity entries too large: C\(n, 2\) \* max \|entry\| must be below 1e\+300"
+
+
 def random_symmetric(rng: np.random.Generator, n: int, low=-1.0, high=1.0) -> np.ndarray:
     draws = rng.uniform(low, high, size=(n, n))
     sim = np.triu(draws, 1)
@@ -45,6 +49,14 @@ class TestDiversity:
 
     def test_singleton_crowd(self):
         assert smodel.diversity([0], SIX_WORKERS) == 0.0
+
+    def test_zero_scores_are_positive_zero(self):
+        # a crowd without pairs, or with pairs summing to zero, scores +0.0
+        zeros = np.zeros((2, 2))
+        for score in (smodel.diversity([0], SIX_WORKERS), smodel.sum_objective([0], SIX_WORKERS),
+                      smodel.sum_objective([], SIX_WORKERS), smodel.diversity([0, 1], zeros),
+                      smodel.sum_objective([0, 1], zeros)):
+            assert score == 0.0 and math.copysign(1.0, score) == 1.0
 
     def test_six_worker_optimum_value(self):
         # crowd {A, D, E}: pair sum 0.7 + 0.2 + 0.4 = 1.3
@@ -72,13 +84,17 @@ class TestDiversity:
     )))
     @settings(max_examples=200, deadline=None)
     def test_symmetry_check_matches_allclose(self, case):
-        # a symmetric matrix with small gaps added above the diagonal; the
-        # check accepts exactly what allclose(atol=1e-9, rtol=0) accepts
+        # a symmetric matrix with small gaps added above the diagonal; below
+        # the magnitude bound, the check accepts exactly what
+        # allclose(atol=1e-9, rtol=0) accepts
         values, gaps = case
         n = math.isqrt(len(values))
         lower = np.tril(np.array(values).reshape(n, n))
         sim = lower + np.tril(lower, -1).T + np.triu(np.array(gaps).reshape(n, n), 1)
-        if np.allclose(sim, sim.T, atol=1e-9, rtol=0.0):
+        if math.comb(n, 2) * float(np.abs(sim).max()) >= 1e300:
+            with pytest.raises(ValueError, match=TOO_LARGE):
+                smodel.check_similarity_matrix(sim)
+        elif np.allclose(sim, sim.T, atol=1e-9, rtol=0.0):
             smodel.check_similarity_matrix(sim)
         else:
             with pytest.raises(ValueError, match="symmetric"):
@@ -86,7 +102,8 @@ class TestDiversity:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_asymmetry_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
+        # refused for its magnitude before its gap of 2e308 is formed
+        with pytest.raises(ValueError, match=TOO_LARGE):
             smodel.check_similarity_matrix([[0.0, 1e308], [-1e308, 0.0]])
 
     def test_diagonal_ignored(self):
@@ -165,11 +182,8 @@ class TestExactSelect:
         assert time.perf_counter() - started < 1.0
 
 
-def brute_force_exact(sim: np.ndarray, k: int) -> tuple[tuple[int, ...] | None, float]:
-    """Best sum_objective over itertools.combinations; the first such crowd wins ties.
-
-    A NaN objective compares False, so it never wins.
-    """
+def brute_force_exact(sim: np.ndarray, k: int) -> tuple[tuple[int, ...], float]:
+    """Best sum_objective over itertools.combinations; the first such crowd wins ties."""
     best, best_score = None, -math.inf
     for crowd in itertools.combinations(range(len(sim)), k):
         score = smodel.sum_objective(crowd, sim)
@@ -229,24 +243,6 @@ def worked_asymmetric_matrix() -> np.ndarray:
     return sim
 
 
-def overflowing_matrix() -> np.ndarray:
-    """Eight workers whose crowds overflow to NaN unless drawn from workers 3-7.
-
-    Workers 0-2 are near the float limit with everyone: 0 and 2, and 1 and 2,
-    at -1e308, all their other pairs at +1e308. From four members on, every
-    crowd with one of them sums to at least 2e308, but the prefix (0, 1, 2)
-    reaches 1e308 + (-inf) = -inf, and each of its crowds -inf + inf = NaN.
-    """
-    n = 8
-    sim = np.zeros((n, n))
-    sim[:3, :] = sim[:, :3] = 1e308
-    sim[0, 2] = sim[2, 0] = sim[1, 2] = sim[2, 1] = -1e308
-    rng = np.random.default_rng(8)
-    small = np.triu(rng.integers(-2, 3, size=(n - 3, n - 3)).astype(float), 1)
-    sim[3:, 3:] = small + small.T
-    return sim
-
-
 class TestExactAgainstBruteForce:
     @given(selection_cases())
     @example(("ties", make_matrix({(0, 1): 2.0, (1, 2): -1.0, (0, 3): -2.0}, 5), 1))
@@ -279,19 +275,6 @@ class TestExactAgainstBruteForce:
     def test_asymmetric_within_tolerance_scores_upper_triangle(self, case):
         sim, k = case
         assert smodel.exact_select(sim, k) == upper_triangle_reference(sim, k)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflow_to_nan_neither_prunes_nor_wins(self):
-        sim = overflowing_matrix()
-        n = len(sim)
-        for k in range(4, n + 1):
-            with np.errstate(over="ignore", invalid="ignore"):
-                best, best_score = brute_force_exact(sim, k)
-            if best is None:
-                with pytest.raises(ValueError, match="too large"):
-                    smodel.exact_select(sim, k)
-            else:
-                assert smodel.exact_select(sim, k) == best
 
 
 class TestGreedySelect:
@@ -330,16 +313,6 @@ class TestGreedySelect:
             greedy_scores.append(smodel.diversity(smodel.greedy_select(sim, 4), sim))
             exact_scores.append(smodel.diversity(smodel.exact_select(sim, 4), sim))
         assert np.mean(greedy_scores) >= 0.95 * np.mean(exact_scores)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("k", [4, 5])
-    def test_nan_crowds_never_win(self, k):
-        # seed chunks holding a NaN crowd must still offer their finite crowds
-        sim = overflowing_matrix()
-        crowd = smodel.greedy_select(sim, k)
-        assert len(crowd) == k
-        assert set(crowd) <= set(range(3, 8))
-        assert math.isfinite(smodel.diversity(crowd, sim))
 
     def test_beats_random_in_expectation(self):
         rng = np.random.default_rng(202)
@@ -431,19 +404,12 @@ class TestGreedyReference:
             assert smodel.greedy_select(sim, k) == greedy_reference(sim, k)
 
     @given(greedy_cases())
-    @example((overflowing_matrix(), 4))
-    @example((overflowing_matrix(), 6))
     @settings(max_examples=200, deadline=None)
     def test_matches_reference(self, case):
         # the reference adds each margin in the order greedy_select does, so
         # on a symmetric matrix every pair sum is the same float
         sim, k = case
-        expected = greedy_reference(sim, k)
-        if expected is None:
-            with pytest.raises(ValueError, match="too large"):
-                smodel.greedy_select(sim, k)
-        else:
-            assert smodel.greedy_select(sim, k) == expected
+        assert smodel.greedy_select(sim, k) == greedy_reference(sim, k)
 
 
 def completed_seed_rows(monkeypatch, sim: np.ndarray, k: int) -> int:
@@ -466,12 +432,6 @@ class TestGreedyPruning:
 
     def test_most_seeds_dropped_on_skewed_matrix(self, monkeypatch):
         assert completed_seed_rows(monkeypatch, skewed_matrix(60, 3), 4) < self.SEEDS / 2
-
-    def test_nothing_dropped_near_overflow_scale(self, monkeypatch):
-        # pair sums of four such workers could reach the overflow scale, where
-        # rounding has no bound and no seed may be dropped
-        sim = skewed_matrix(60, 3) * 1e299
-        assert completed_seed_rows(monkeypatch, sim, 4) == self.SEEDS
 
 
 SOLVERS = {
@@ -532,8 +492,70 @@ class TestNonFiniteMatrices:
     @pytest.mark.parametrize("solver", [smodel.greedy_select, smodel.exact_select])
     def test_overflowing_pair_sums_raise(self, solver):
         sim = np.full((4, 4), 1e308)
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(ValueError, match=TOO_LARGE):
             solver(sim, 3)
+
+
+def first_at_bound(n: int) -> float:
+    """Least x with C(n, 2) * x >= 1e300 as floats compute it: the first entry refused."""
+    pairs = math.comb(n, 2)
+    x = 1e300 / pairs
+    while pairs * x < 1e300:
+        x = math.nextafter(x, math.inf)
+    while pairs * math.nextafter(x, 0.0) >= 1e300:
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+def signed_matrix(n: int, scale: float, seed: int) -> np.ndarray:
+    """Symmetric entries scale times -1, -0.5, 0.25 or 1, with max |entry| = scale."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.choice([-1.0, -0.5, 0.25, 1.0], size=(n, n)), 1)
+    sim = (upper + upper.T) * scale
+    sim[0, 1] = sim[1, 0] = -scale
+    return sim
+
+
+class TestOverflowBound:
+    """C(n, 2) * max |entry| must lie below 1e300; at the bound the matrix is refused."""
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_check_refuses_at_bound_and_accepts_below(self, n):
+        at = first_at_bound(n)
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            smodel.check_similarity_matrix(signed_matrix(n, at, seed=n))
+        below = signed_matrix(n, math.nextafter(at, 0.0), seed=n)
+        assert np.array_equal(smodel.check_similarity_matrix(below), below)
+
+    def test_diagonal_counts_toward_the_bound(self):
+        sim = np.zeros((3, 3))
+        sim[2, 2] = first_at_bound(3)
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            smodel.check_similarity_matrix(sim)
+
+    def test_one_worker_is_never_too_large(self):
+        assert smodel.exact_select([[1e308]], 1) == (0,)
+
+    @pytest.mark.parametrize("method", SOLVERS)
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_solvers_refuse_at_bound_and_accept_below(self, method, k):
+        at = first_at_bound(6)
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            SOLVERS[method](signed_matrix(6, at, seed=k), k)
+        crowd = SOLVERS[method](signed_matrix(6, math.nextafter(at, 0.0), seed=k), k)
+        assert len(set(crowd)) == k
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solvers_exact_near_bound(self, seed):
+        # a power-of-two scale keeps every pair sum exact, so ties are real
+        n = 8
+        scale = 2.0 ** math.floor(math.log2(1e300 / math.comb(n, 2)))
+        assert 2 * scale * math.comb(n, 2) >= 1e300
+        sim = signed_matrix(n, scale, seed)
+        for k in range(1, n + 1):
+            assert smodel.exact_select(sim, k) == brute_force_exact(sim, k)[0]
+            if k >= 2:
+                assert smodel.greedy_select(sim, k) == greedy_reference(sim, k)
 
 
 class TestSubmodularity:
