@@ -11,6 +11,7 @@ approximations peak, and bounds the approximation error.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -180,22 +181,22 @@ class WindowKernel:
         check_dftcf_limit(window.k)
         self.window = window
         n = fold_points(window)
-        freqs = np.arange(n)
-        self._roots = np.exp(2j * np.pi * freqs / n)
-        counts = np.arange(window.theta1, window.theta2 + 1)
-        # the M x (width + 1) table of roots is formed a block of about
-        # _PMF_BLOCK entries at a time; each row sums as in one whole table
-        self._weights = np.empty(n, dtype=complex)
-        rows = max(1, _PMF_BLOCK // counts.size)
-        for start in range(0, n, rows):
-            block = np.outer(freqs[start : start + rows], counts)
-            self._weights[start : start + rows] = np.exp(-2j * np.pi * block / n).sum(axis=1) / n
-        # frequency 0: the characteristic function is 1
-        self.w0 = float(self._weights[0].real)
-        self.half_terms = [
-            (complex(1.0 - self._roots[l]), 2.0 * complex(self._weights[l]))
+        self._roots = np.exp(2j * np.pi * np.arange(n) / n)
+        # w_l = (1/M) sum over the window's counts c of root_l^-c, a geometric
+        # series: e^(-i pi l (theta1 + theta2) / M) sin(pi l (width + 1) / M) / (M sin(pi l / M))
+        # for 1 <= l <= M/2, and w_(M - l) = conj(w_l). Python floats round it
+        # alike on every CPU; each l * m is reduced mod 2M before it scales an angle
+        span, mid = window.width + 1, window.theta1 + window.theta2
+        self.w0 = span / n
+        half = [
+            cmath.rect(
+                math.sin(math.pi * (l * span % (2 * n)) / n) / (n * math.sin(math.pi * l / n)),
+                -math.pi * (l * mid % (2 * n)) / n,
+            )
             for l in range(1, n // 2 + 1)
         ]
+        self._weights = np.array([self.w0, *half, *(w.conjugate() for w in reversed(half))])
+        self.half_terms = [(complex(1.0 - root), 2.0 * w) for root, w in zip(self._roots[1:], half)]
 
     def tau_many(self, prob_matrix: np.ndarray) -> np.ndarray:
         """Exact window probabilities for a batch of subsets, one row each.

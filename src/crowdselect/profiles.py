@@ -112,45 +112,44 @@ def _counts_matrix(
     return mat
 
 
+def _smoothed(dist: np.ndarray) -> np.ndarray:
+    """Distributions along the last axis, plus SMOOTHING and renormalized, so none is zero."""
+    dist = dist + SMOOTHING
+    return dist / dist.sum(axis=-1, keepdims=True)
+
+
 def _smooth_rows(mat: np.ndarray) -> np.ndarray:
-    """Normalize rows into distributions, then smooth additively and renormalize.
+    """Normalize rows into distributions, then smooth them.
 
     A row with no mass at all (a dead mixture component) falls back to
     uniform rather than dividing by zero.
     """
     totals = mat.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0.0, totals, 1.0)
-    rows = np.where(totals > 0.0, mat / safe, 1.0 / mat.shape[1])
-    rows = rows + SMOOTHING
-    return rows / rows.sum(axis=1, keepdims=True)
-
-
-def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    """log(sum(exp(a))) along axis, computed without overflow.
-
-    The arithmetic of scipy.special.logsumexp (Blanchard, Higham and Higham
-    2021, "Accurately computing the log-sum-exp and softmax functions"):
-    with M the largest entry, m the number of entries equal to it and s the
-    sum of exp(a - M) over the others, the result is
-    log1p(s / m) + log(m) + M. A non-finite maximum is the result itself:
-    -inf where every entry is -inf, +inf where one is, NaN where one is NaN.
-    """
-    top = np.max(a, axis=axis, keepdims=True)
-    is_top = a == top
-    count = is_top.sum(axis=axis, keepdims=True)
-    # a non-finite maximum makes inf - inf, 0 / 0 or log(0) here; such rows
-    # are replaced below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rest = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=axis, keepdims=True)
-        out = np.log1p(rest / count) + np.log(count) + top
-    out = np.where(np.isfinite(top), out, top)
-    return out if keepdims else np.squeeze(out, axis=axis)
+    return _smoothed(np.where(totals > 0.0, mat / safe, 1.0 / mat.shape[1]))
 
 
 def _e_step(counts: np.ndarray, pi: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Topic posteriors and log evidence per count row: the one place the log-joint is formed."""
+    """Topic posteriors and log evidence per count row: the one place the log-joint is formed.
+
+    The log evidence is the log-sum-exp of each row of the log-joint, in the
+    arithmetic of scipy.special.logsumexp (Blanchard, Higham and Higham
+    2021, "Accurately computing the log-sum-exp and softmax functions"):
+    with M the row's largest entry, m the number of entries equal to it and
+    s the sum of exp(a - M) over the others, it is log1p(s / m) + log(m) + M.
+    A non-finite maximum is the result itself: -inf where every entry is
+    -inf, +inf where one is, NaN where one is NaN.
+    """
     log_joint = counts @ np.log(mu).T + np.log(pi)  # (rows, topics)
-    log_evidence = _logsumexp(log_joint, axis=1, keepdims=True)
+    top = log_joint.max(axis=1, keepdims=True)
+    is_top = log_joint == top
+    count = is_top.sum(axis=1, keepdims=True)
+    # a non-finite maximum makes inf - inf, 0 / 0 or log(0) here; such rows
+    # are replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.exp(np.where(is_top, -np.inf, log_joint) - top).sum(axis=1, keepdims=True)
+        log_evidence = np.log1p(rest / count) + np.log(count) + top
+    log_evidence = np.where(np.isfinite(top), log_evidence, top)
     return np.exp(log_joint - log_evidence), log_evidence[:, 0]
 
 
@@ -193,8 +192,7 @@ def em_fit(
     posteriors, log_evidence = _e_step(counts, pi, mu)
     trace = [float(log_evidence.sum())]
     for _ in range(max_iter):
-        pi = posteriors.mean(axis=0)
-        pi = (pi + SMOOTHING) / (pi + SMOOTHING).sum()
+        pi = _smoothed(posteriors.mean(axis=0))
         mu = _smooth_rows(posteriors.T @ counts)
         posteriors, log_evidence = _e_step(counts, pi, mu)
         trace.append(float(log_evidence.sum()))
@@ -224,8 +222,7 @@ def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
             raise ValueError("distributions must be non-negative")
         if abs(float(arr.sum()) - 1.0) > 1e-6:
             raise ValueError("distributions must sum to 1 within 1e-6")
-    pa = (pa + SMOOTHING) / (pa + SMOOTHING).sum()
-    qa = (qa + SMOOTHING) / (qa + SMOOTHING).sum()
+    pa, qa = _smoothed(pa), _smoothed(qa)
     # KL is non-negative, but rounding leaves about -1e-16 for near-equal
     # inputs; np.maximum clamps that and still passes NaN through
     return float(np.maximum((pa * np.log(pa / qa)).sum(), 0.0))
@@ -249,8 +246,7 @@ def experience_similarity_matrix(
     # kl_divergence's checks, written so that NaN rows fail them too
     if not (np.all(post >= 0.0) and np.all(np.abs(post.sum(axis=1) - 1.0) <= 1e-6)):
         raise ValueError("topic posteriors must be distributions summing to 1 within 1e-6")
-    smooth = post + SMOOTHING
-    smooth /= smooth.sum(axis=1, keepdims=True)
+    smooth = _smoothed(post)
     logs = np.log(smooth)
     div = (smooth * logs).sum(axis=1)[:, None] - smooth @ logs.T
     # clamp the rounding below zero, as kl_divergence does

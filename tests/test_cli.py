@@ -637,7 +637,7 @@ GOLDEN_SELECT = [
     (('s', '--method', 'random', '--seed', '1'),
      '{"div": 0.53, "indices": [2, 3, 5], "method": "random", "subset": ["c", "d", "f"]}\n'),
     (('t', '--method', 'exact', '--seed', '0', '--sa-r', '3'),
-     '{"indices": [1, 3, 6, 7], "method": "exact", "objective": 0.8876905000000002, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
+     '{"indices": [1, 3, 6, 7], "method": "exact", "objective": 0.8876904999999999, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
     (('t', '--method', 'poisson', '--seed', '0', '--sa-r', '3'),
      '{"indices": [1, 3, 5, 6], "method": "poisson", "objective": 0.22357911111139037, "subset": ["w1", "w3", "w5", "w6"], "tau": 0.707695}\n'),
     (('t', '--method', 'binomial', '--seed', '0', '--sa-r', '3'),
@@ -645,11 +645,11 @@ GOLDEN_SELECT = [
     (('t', '--method', 'normal-sa', '--seed', '0', '--sa-r', '3'),
      '{"indices": [1, 3, 6, 7], "method": "normal-sa", "objective": 0.8453641868698465, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
     (('t', '--method', 'dftcf-sa', '--seed', '0', '--sa-r', '3'),
-     '{"indices": [1, 3, 6, 7], "method": "dftcf-sa", "objective": 0.8876905000000002, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
+     '{"indices": [1, 3, 6, 7], "method": "dftcf-sa", "objective": 0.8876905, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
     (('t', '--method', 'random', '--seed', '0', '--sa-r', '3'),
      '{"indices": [0, 3, 6, 7], "method": "random", "objective": 0.6345776000000001, "subset": ["w0", "w3", "w6", "w7"], "tau": 0.6345776000000001}\n'),
     (('t', '--method', 'exact', '--seed', '1', '--sa-r', '3'),
-     '{"indices": [1, 3, 6, 7], "method": "exact", "objective": 0.8876905000000002, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
+     '{"indices": [1, 3, 6, 7], "method": "exact", "objective": 0.8876904999999999, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
     (('t', '--method', 'poisson', '--seed', '1', '--sa-r', '3'),
      '{"indices": [1, 3, 5, 6], "method": "poisson", "objective": 0.22357911111139037, "subset": ["w1", "w3", "w5", "w6"], "tau": 0.707695}\n'),
     (('t', '--method', 'binomial', '--seed', '1', '--sa-r', '3'),
@@ -657,11 +657,11 @@ GOLDEN_SELECT = [
     (('t', '--method', 'normal-sa', '--seed', '1', '--sa-r', '3'),
      '{"indices": [1, 3, 6, 7], "method": "normal-sa", "objective": 0.8453641868698465, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
     (('t', '--method', 'dftcf-sa', '--seed', '1', '--sa-r', '3'),
-     '{"indices": [1, 3, 6, 7], "method": "dftcf-sa", "objective": 0.8876905000000002, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
+     '{"indices": [1, 3, 6, 7], "method": "dftcf-sa", "objective": 0.8876905, "subset": ["w1", "w3", "w6", "w7"], "tau": 0.8876905000000002}\n'),
     (('t', '--method', 'random', '--seed', '1', '--sa-r', '3'),
      '{"indices": [0, 2, 4, 7], "method": "random", "objective": 0.18443600000000016, "subset": ["w0", "w2", "w4", "w7"], "tau": 0.18443600000000016}\n'),
     (('t', '--method', 'dftcf-sa', '--seed', '3', '--t-ini', '0.5', '--t-end', '0.2', '--sa-r', '2', '--sa-c', '0.5'),
-     '{"indices": [0, 1, 3, 5], "method": "dftcf-sa", "objective": 0.7357400000000001, "subset": ["w0", "w1", "w3", "w5"], "tau": 0.7357400000000001}\n'),
+     '{"indices": [0, 1, 3, 5], "method": "dftcf-sa", "objective": 0.7357399999999998, "subset": ["w0", "w1", "w3", "w5"], "tau": 0.7357400000000001}\n'),
 ]
 # Pools past the enumeration limit: 120 two-decimal probabilities, with
 # repeats and p = 1/2 at w47, so that k = 21 anneals on the large-pool DFT-CF
@@ -671,9 +671,9 @@ GOLDEN_SELECT = [
 GOLDEN_LARGE_PROBS = [((37 * i + 11) % 100) / 100 for i in range(120)]
 GOLDEN_LARGE_SELECT = [
     ((120, '-k', '21', '--theta1', '8', '--theta0', '8', '--method', 'dftcf-sa', '--seed', '0', '--sa-r', '200'),
-     '{"indices": [5, 8, 16, 18, 21, 24, 32, 35, 40, 43, 51, 54, 59, 70, 78, 81, 86, 89, 97, 113, 116], "method": "dftcf-sa", "objective": 0.9939380701383174, "subset": ["w5", "w8", "w16", "w18", "w21", "w24", "w32", "w35", "w40", "w43", "w51", "w54", "w59", "w70", "w78", "w81", "w86", "w89", "w97", "w113", "w116"], "tau": 0.9939380701383177}\n'),
+     '{"indices": [5, 8, 16, 18, 21, 24, 32, 35, 40, 43, 51, 54, 59, 70, 78, 81, 86, 89, 97, 113, 116], "method": "dftcf-sa", "objective": 0.9939380701383177, "subset": ["w5", "w8", "w16", "w18", "w21", "w24", "w32", "w35", "w40", "w43", "w51", "w54", "w59", "w70", "w78", "w81", "w86", "w89", "w97", "w113", "w116"], "tau": 0.9939380701383177}\n'),
     ((120, '-k', '21', '--theta1', '8', '--theta0', '8', '--method', 'dftcf-sa', '--seed', '1', '--sa-r', '200'),
-     '{"indices": [5, 13, 16, 24, 32, 35, 40, 43, 51, 59, 62, 65, 67, 70, 78, 81, 91, 97, 105, 108, 116], "method": "dftcf-sa", "objective": 0.9931036314571826, "subset": ["w5", "w13", "w16", "w24", "w32", "w35", "w40", "w43", "w51", "w59", "w62", "w65", "w67", "w70", "w78", "w81", "w91", "w97", "w105", "w108", "w116"], "tau": 0.993103631457183}\n'),
+     '{"indices": [5, 13, 16, 24, 32, 35, 40, 43, 51, 59, 62, 65, 67, 70, 78, 81, 91, 97, 105, 108, 116], "method": "dftcf-sa", "objective": 0.9931036314571827, "subset": ["w5", "w13", "w16", "w24", "w32", "w35", "w40", "w43", "w51", "w59", "w62", "w65", "w67", "w70", "w78", "w81", "w91", "w97", "w105", "w108", "w116"], "tau": 0.993103631457183}\n'),
     ((38, '-k', '13', '--theta1', '4', '--theta0', '4', '--method', 'poisson', '--seed', '0'),
      '{"indices": [1, 2, 6, 9, 14, 17, 22, 28, 29, 32, 33, 36, 37], "method": "poisson", "objective": 0.6582545388207279, "subset": ["w1", "w2", "w6", "w9", "w14", "w17", "w22", "w28", "w29", "w32", "w33", "w36", "w37"], "tau": 0.9389393290515436}\n'),
     ((38, '-k', '13', '--theta1', '4', '--theta0', '4', '--method', 'poisson', '--seed', '1'),
@@ -708,19 +708,19 @@ trial,method,k,theta1,theta0,objective,tau_or_div,status
 0,normal-sa,3,1,1,0.7588052088092188,0.7609927806984772,ok
 0,dftcf-sa,3,1,1,0.7615139636938726,0.7615139636938726,ok
 0,random,3,1,1,0.7561305353971475,0.7561305353971475,ok
-0,exact,3,1,0,0.9038946409887814,0.9038946409887813,ok
+0,exact,3,1,0,0.9038946409887811,0.9038946409887813,ok
 0,poisson,3,1,0,0.40068493215880874,0.9038946409887813,ok
 0,binomial,3,1,0,0.5620085041099163,0.9038946409887813,ok
 0,normal-sa,3,1,0,0.8890687193538831,0.9038946409887813,ok
-0,dftcf-sa,3,1,0,0.9038946409887814,0.9038946409887813,ok
+0,dftcf-sa,3,1,0,0.9038946409887811,0.9038946409887813,ok
 0,random,3,1,0,0.8491159834595401,0.8491159834595401,ok
-0,exact,4,1,1,0.881130068153565,0.8811300681535649,ok
+0,exact,4,1,1,0.8811300681535648,0.8811300681535649,ok
 0,poisson,4,1,1,0.4607868961734849,0.8726052888536417,ok
 0,binomial,4,1,1,0.6535911231470939,0.8726052888536417,ok
 0,normal-sa,4,1,1,0.8709407582893611,0.8808491332081231,ok
-0,dftcf-sa,4,1,1,0.881130068153565,0.8811300681535649,ok
+0,dftcf-sa,4,1,1,0.8811300681535648,0.8811300681535649,ok
 0,random,4,1,1,0.8799548238309614,0.8799548238309614,ok
-0,exact,4,2,1,0.6542843562993709,0.6542843562993708,ok
+0,exact,4,2,1,0.6542843562993708,0.6542843562993708,ok
 0,poisson,4,2,1,0.19116090667744448,0.6542843562993708,ok
 0,binomial,4,2,1,0.28160714509036233,0.6542843562993708,ok
 0,normal-sa,4,2,1,0.6511606770203988,0.6542843562993708,ok

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,38 @@ from crowdselect.pbd import DemandWindow, WindowKernel
 prob_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=12
 )
+
+
+# Within how much each DFT weight must match reference_weight
+WEIGHT_TOL = 4e-16
+
+
+def reference_weight(window: DemandWindow, l: int) -> complex:
+    """(1/M) sum over the window's counts c of e^(-2 pi i l c / M), with l c reduced mod M, by fsum."""
+    n = pbd.fold_points(window)
+    angles = [2.0 * math.pi * (l * c % n) / n for c in range(window.theta1, window.theta2 + 1)]
+    return complex(math.fsum(map(math.cos, angles)) / n, -math.fsum(map(math.sin, angles)) / n)
+
+
+# The default build, OpenBLAS's SSE3 kernels, and numpy without its
+# x86-64-v3/v4 loops, as in CI
+WEIGHT_CONFIGS = [
+    {},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3 AVX512_ICL AVX512_SPR"},
+]
+# Prints one digest of the weights of every window with k <= 24 and of
+# a spread of larger windows
+WEIGHT_DIGEST = """
+import hashlib
+from crowdselect.pbd import DemandWindow, WindowKernel
+windows = [DemandWindow(t1, t0, k) for k in range(1, 25) for t1 in range(k + 1) for t0 in range(k - t1 + 1)]
+windows += [DemandWindow(k // 3, k // 5, k) for k in range(25, 4097, 97)] + [DemandWindow(0, 0, 4096)]
+digest = hashlib.sha256()
+for window in windows:
+    digest.update(WindowKernel(window)._weights.tobytes())
+print(digest.hexdigest())
+"""
 
 
 class TestDemandWindow:
@@ -218,29 +254,68 @@ class TestWindowKernel:
         with pytest.raises(ValueError):
             kernel.tau_many(np.zeros((3, 5)))
 
-    @given(k=st.integers(1, 1000), data=st.data())
-    @example(k=1000, data=None)  # the full window: 16 row blocks
-    @settings(max_examples=60, deadline=None)
-    def test_weights_match_one_table(self, k, data):
+    def test_weights_match_reference_on_every_small_window(self):
+        for k in range(1, 41):
+            for theta1 in range(k + 1):
+                for theta0 in range(k - theta1 + 1):
+                    window = DemandWindow(theta1, theta0, k)
+                    weights = WindowKernel(window)._weights
+                    for l, weight in enumerate(weights):
+                        assert abs(weight - reference_weight(window, l)) <= WEIGHT_TOL
+
+    @given(k=st.integers(1, pbd.DFTCF_LIMIT), data=st.data())
+    @example(k=pbd.DFTCF_LIMIT, data=None)  # the full window at the size limit
+    @settings(max_examples=30, deadline=None)
+    def test_weights_match_reference(self, k, data):
         if data is None:
             window = DemandWindow(0, 0, k)
+            frequencies = [0, 1, 2, 4095, 4096]
         else:
             theta1 = data.draw(st.integers(0, k))
             window = DemandWindow(theta1, data.draw(st.integers(0, k - theta1)), k)
-        n = pbd.fold_points(window)
-        counts = np.arange(window.theta1, window.theta2 + 1)
-        whole = np.exp(-2j * np.pi * np.outer(np.arange(n), counts) / n).sum(axis=1) / n
-        assert WindowKernel(window)._weights.tobytes() == whole.tobytes()
+            n = pbd.fold_points(window)
+            frequencies = [0, 1, n // 2, n // 2 + 1, n - 1]
+            frequencies += data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+        weights = WindowKernel(window)._weights
+        for l in frequencies:
+            assert abs(weights[l] - reference_weight(window, l)) <= WEIGHT_TOL
+
+    @given(k=st.integers(1, pbd.DFTCF_LIMIT), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_weights_are_conjugate_symmetric(self, k, data):
+        theta1 = data.draw(st.integers(0, k))
+        window = DemandWindow(theta1, data.draw(st.integers(0, k - theta1)), k)
+        kernel = WindowKernel(window)
+        weights = [complex(w) for w in kernel._weights]
+        n = len(weights)
+        assert kernel.w0 == weights[0] == (window.width + 1) / n
+        assert all(weights[n - l] == weights[l].conjugate() for l in range(1, n))
+        assert [weight for _, weight in kernel.half_terms] == [2.0 * w for w in weights[1 : n // 2 + 1]]
+
+    def test_weights_same_on_every_configuration(self):
+        # numpy's x86-64-v3/v4 loops (FMA3, AVX-512) and OpenBLAS's kernels
+        # round differently from the baseline ones; the weights are Python
+        # floats, so every configuration gives the same bytes
+        src = Path(pbd.__file__).resolve().parents[1]
+        digests = set()
+        for config in WEIGHT_CONFIGS:
+            done = subprocess.run(
+                [sys.executable, "-c", WEIGHT_DIGEST],
+                capture_output=True, text=True, check=True, cwd=src, env={**os.environ, **config},
+            )
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
     def test_memory_bounded(self):
-        # one (4097 x 4097) table of roots would take 268 MB, and its exponent as much
+        # the weights are a list of M Python complex numbers; any (M, width + 1)
+        # table of roots would take 268 MB at the size limit
         tracemalloc.start()
         try:
             kernel = WindowKernel(DemandWindow(0, 0, pbd.DFTCF_LIMIT))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 << 20
+        assert peak < 1 << 20
         # the full window holds every count: probability 1
         assert kernel.tau_many(np.full((1, pbd.DFTCF_LIMIT), 0.3))[0] == pytest.approx(1.0)
 

@@ -212,33 +212,48 @@ class TestNonFiniteRejected:
 
 
 class TestLogsumexp:
+    """_e_step's log evidence is scipy's log-sum-exp of each log-joint row."""
+
     @staticmethod
     def rows() -> np.ndarray:
         a = np.random.default_rng(5).normal(0.0, 30.0, size=(40, 6))
-        a[5:10, 2] = -np.inf  # some -inf entries
-        a[10] = -np.inf  # every entry -inf
-        a[11, 3] = np.nan
-        a[12, 1] = np.inf
         a[13, :3] = a[13].max()  # a tied maximum
         a[14] = 700.0  # exp would overflow without the shift
         return a
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("keepdims", [False, True])
     @pytest.mark.parametrize("axis", [0, 1])
     def test_matches_scipy(self, axis, keepdims):
-        a = self.rows()
-        got = profiles._logsumexp(a, axis=axis, keepdims=keepdims)
-        expected = special.logsumexp(a, axis=axis, keepdims=keepdims)
-        assert got.shape == expected.shape
-        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+        # axis is the axis of rows() that _e_step reduces over; keepdims
+        # checks the posteriors, which divide by the evidence broadcast back
+        # over each row, rather than the evidence itself
+        a = self.rows() if axis == 1 else self.rows().T
+        rows, topics = a.shape
+        # with one word per row, row i's log-joint is column i of log(mu)
+        mu = np.exp(a.T)
+        posteriors, log_evidence = profiles._e_step(np.eye(rows), np.ones(topics), mu)
+        log_joint = np.log(mu).T
+        if keepdims:
+            expected = special.softmax(log_joint, axis=1)
+            np.testing.assert_allclose(posteriors, expected, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(posteriors.sum(axis=1), 1.0, rtol=1e-13)
+        else:
+            expected = special.logsumexp(log_joint, axis=1)
+            np.testing.assert_allclose(log_evidence, expected, rtol=1e-15, atol=0.0)
+        if axis == 1:
+            assert log_evidence[14] == pytest.approx(700.0 + math.log(topics), rel=1e-15)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_special_rows(self):
-        got = profiles._logsumexp(self.rows(), axis=1)
-        assert got[10] == -np.inf
-        assert np.isnan(got[11])
-        assert got[12] == np.inf
-        assert got[14] == pytest.approx(700.0 + math.log(6), rel=1e-15)
+        def log_evidence(pi):
+            # one count row of one word: the log-joint is log(pi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return profiles._e_step(np.ones((1, 1)), np.array(pi), np.ones((len(pi), 1)))[1][0]
+
+        assert log_evidence([0.0, 0.0, 0.0]) == -np.inf
+        assert np.isnan(log_evidence([0.5, math.nan, 0.5]))
+        assert log_evidence([0.5, math.inf, 0.0]) == np.inf
+        assert log_evidence([0.5, 0.0, 0.5]) == 0.0
 
 
 def test_package_imports_without_scipy():
